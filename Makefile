@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet build test race cover smoke grid-smoke serve-smoke fabric-smoke synth-smoke fuzz-smoke fuzz-seed loadgen-smoke bench clean
+.PHONY: ci vet build test race cover bench-check smoke grid-smoke serve-smoke fabric-smoke synth-smoke fuzz-smoke fuzz-seed bench clean
 
-ci: vet build test race cover fuzz-smoke smoke grid-smoke serve-smoke fabric-smoke synth-smoke loadgen-smoke
+ci: vet build test race cover bench-check fuzz-smoke smoke grid-smoke serve-smoke fabric-smoke synth-smoke
 
 vet:
 	$(GO) vet ./...
@@ -32,6 +32,13 @@ cover:
 		attain/internal/topo=80 \
 		< /tmp/attain-cover.txt
 
+# The benchmark harness (bench/, what BENCHMARK.json runs) is a client of
+# the product API: a change to inject, topo, switchsim or campaign that it
+# cannot build or pass against fails here, before the gate sees it.
+bench-check:
+	$(GO) vet ./bench
+	$(GO) test ./bench
+
 # End-to-end smoke: one short interruption scenario through the campaign
 # CLI with telemetry tracing on, artifacts written to a scratch directory.
 smoke:
@@ -60,10 +67,11 @@ serve-smoke:
 #  1. A leaf-spine fabric through the campaign CLI under LLDP poisoning —
 #     full control-plane and discovery convergence plus the deviation
 #     signal (phantom links in the controller's topology view).
-#  2. Shard invariance: the same campaign re-run shard-hosted
-#     (fabric_shards) must agree byte-for-byte with the goroutine-mode run
-#     on the shard-invariant projection of results.jsonl — shard count is
-#     an execution knob, never an outcome change.
+#  2. Shard invariance: the same campaign re-run on 4 event loops
+#     (fabric_shards, fabric-smoke-sharded.json) must agree byte-for-byte
+#     with the default one-loop run on the shard-invariant projection of
+#     results.jsonl — shard count is an execution knob, never an outcome
+#     change.
 #  3. Large-fabric wall-time gate: a scaled-down jellyfish:1500x4
 #     poisoned convergence (the 5,000-switch headline's CI proxy) run at
 #     -benchtime=1x and compared against the committed BENCH_fabric.json
@@ -85,18 +93,6 @@ fabric-smoke:
 	| tee /dev/stderr | $(GO) run ./docs/perf/benchjson > /tmp/attain-fabric-converge.json
 	@grep -q 'FabricConverge/jellyfish:1500x4' /tmp/attain-fabric-converge.json
 	$(GO) run ./docs/perf/benchcmp -tolerance 0.5 BENCH_fabric.json /tmp/attain-fabric-converge.json
-
-# Sustained-load smoke: a small-scale pumps-vs-sharded duel through
-# cmd/attain-loadgen, gated against the committed BENCH_sustained.json by
-# benchcmp. Only the conns=200 entries overlap with the smoke run (the
-# committed file's 10k-conn headline entries have different names, so they
-# print but don't gate); the loose tolerance absorbs shared-CI noise while
-# still catching a sharded core that lost its batching advantage.
-loadgen-smoke:
-	$(GO) run ./cmd/attain-loadgen -conns 200 -duration 1s -warmup 300ms \
-	| $(GO) run ./docs/perf/benchjson > /tmp/attain-loadgen-smoke.json
-	@grep -q 'sustained_speedup/conns=200' /tmp/attain-loadgen-smoke.json
-	$(GO) run ./docs/perf/benchcmp -tolerance 0.5 BENCH_sustained.json /tmp/attain-loadgen-smoke.json
 
 # Synth smoke: generator determinism (two same-seed runs must agree on
 # the fleet digest, and a 1k-program differential verify must hold), then
@@ -146,9 +142,6 @@ bench:
 	{ $(GO) test ./internal/topo/ -run='^$$' -bench='BenchmarkFabricBringup' -benchtime=50x -benchmem; \
 	  $(GO) test ./internal/topo/ -run='^$$' -bench='BenchmarkFabricConverge' -benchtime=1x -timeout=10m; } \
 	| tee /dev/stderr | $(GO) run ./docs/perf/benchjson > BENCH_fabric.json
-	{ $(GO) run ./cmd/attain-loadgen; \
-	  $(GO) run ./cmd/attain-loadgen -conns 200 -duration 2s -warmup 500ms; } \
-	| tee /dev/stderr | $(GO) run ./docs/perf/benchjson > BENCH_sustained.json
 
 clean:
 	rm -rf /tmp/attain-smoke /tmp/attain-grid-smoke /tmp/attain-fabric-smoke \

@@ -49,7 +49,7 @@ func run() error {
 	scale := flag.Int("scale", 0, "virtual time scale (0/1 = real time)")
 	observe := flag.Duration("observe", 3*time.Second, "attack observation window after discovery converges (wall time)")
 	timeout := flag.Duration("timeout", 60*time.Second, "bring-up and discovery convergence timeout (wall time)")
-	shards := flag.Int("shards", 0, "shard-hosted event loops for switches and injector (0 = goroutine per switch)")
+	shards := flag.Int("shards", 0, "event loops hosting the switches and the injector (0 = one loop)")
 	wave := flag.Int("wave", 0, "max concurrent handshakes per bring-up wave with -shards (0 = default 256)")
 	asJSON := flag.Bool("json", false, "emit the full result as JSON")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile covering the scenario")
@@ -104,10 +104,8 @@ func run() error {
 		res.ConnectMS, convergeWord(res.DiscoveryConverged), res.DiscoverMS)
 	fmt.Printf("  audit: %d/%d adjacencies, %d phantom, %d missing, %d port-status events\n",
 		res.DiscoveredLinks, 2*res.Links, res.PhantomLinks, res.MissingLinks, res.PortStatusEvents)
-	if *shards > 0 {
-		fmt.Printf("  shard-hosted: %d shards, %d bring-up waves, peak %d goroutines\n",
-			*shards, res.BringupWaves, res.PeakGoroutines)
-	}
+	fmt.Printf("  shard-hosted: %d shards, %d bring-up waves, peak %d goroutines\n",
+		max(*shards, 1), res.BringupWaves, res.PeakGoroutines)
 	if res.Attack != topo.AttackBaseline {
 		fmt.Printf("  attack %s: deviation=%v", res.Attack, res.Deviation)
 		if res.Detail != "" {

@@ -18,8 +18,8 @@ import (
 )
 
 // Result is one benchmark line. Units the Go tooling doesn't standardize
-// (testing.B.ReportMetric and the loadgen harness's msgs/s, p99-ns, ...)
-// land in Extra keyed by their unit string.
+// (testing.B.ReportMetric's connect-ms, peak-goroutines, ...) land in
+// Extra keyed by their unit string.
 type Result struct {
 	Name        string             `json:"name"`
 	Iterations  int64              `json:"iterations"`
@@ -124,20 +124,6 @@ func derive(doc *Doc) {
 	if ok1 && ok2 && lazy.NsPerOp > 0 {
 		doc.Derived["passthrough_speedup"] = fmt.Sprintf("%.2fx", base.NsPerOp/lazy.NsPerOp)
 		doc.Derived["passthrough_allocs_per_op"] = strconv.FormatInt(lazy.AllocsPerOp, 10)
-	}
-	// Sustained-load duel (cmd/attain-loadgen): sharded vs pump msgs/s at
-	// equal offered load, one ratio per conns= variant present in both.
-	for name, sh := range byName {
-		const shardedPrefix = "BenchmarkSustained/mode=sharded/"
-		if !strings.HasPrefix(name, shardedPrefix) {
-			continue
-		}
-		pu, ok := byName["BenchmarkSustained/mode=pumps/"+strings.TrimPrefix(name, shardedPrefix)]
-		if !ok || pu.Extra["msgs/s"] <= 0 || sh.Extra["msgs/s"] <= 0 {
-			continue
-		}
-		doc.Derived["sustained_speedup/"+strings.TrimPrefix(name, shardedPrefix)] =
-			fmt.Sprintf("%.2fx", sh.Extra["msgs/s"]/pu.Extra["msgs/s"])
 	}
 	if len(doc.Derived) == 0 {
 		doc.Derived = nil

@@ -102,10 +102,9 @@ type Scenario struct {
 	// Topology is the generator descriptor for fabric-kind scenarios
 	// (e.g. "leafspine:4x12x2", "fattree:8").
 	Topology string
-	// Shards and Wave carry the matrix's shard-hosted execution knobs to
-	// fabric- and synth-kind executors (0 = legacy goroutine mode /
-	// default wave size). Execution-only: not part of the scenario name
-	// or seed derivation.
+	// Shards and Wave carry the matrix's execution knobs to fabric- and
+	// synth-kind executors (0 = one event loop / default wave size).
+	// Execution-only: not part of the scenario name or seed derivation.
 	Shards int
 	Wave   int
 	// TimeScale speeds up the scenario's private virtual clock.

@@ -144,15 +144,15 @@ func runFabricShardCampaign(t *testing.T, shards int) []byte {
 // TestFabricCampaignShardInvariance pins the campaign-artifact half of the
 // determinism contract: fabric_shards is an execution knob, so the
 // shard-invariant projection of results.jsonl must be byte-identical
-// whether switches ran goroutine-per-switch or shard-hosted.
+// whether the fabric ran on the default one event loop or on several.
 func TestFabricCampaignShardInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real fabrics in -short mode")
 	}
-	legacy := runFabricShardCampaign(t, 0)
+	oneLoop := runFabricShardCampaign(t, 0)
 	sharded := runFabricShardCampaign(t, 2)
-	if !bytes.Equal(legacy, sharded) {
-		t.Fatalf("shard-invariant projections diverged:\nshards=0:\n%s\nshards=2:\n%s", legacy, sharded)
+	if !bytes.Equal(oneLoop, sharded) {
+		t.Fatalf("shard-invariant projections diverged:\nshards=0:\n%s\nshards=2:\n%s", oneLoop, sharded)
 	}
 	// The projection must still carry the verdicts it pins.
 	for _, want := range []string{`"deviation":true`, `"connected":true`, `"status":"ok"`} {

@@ -31,8 +31,8 @@ type Matrix struct {
 	// {baseline, lldp-poison}.
 	FabricAttacks []string
 	// FabricShards and FabricWave are execution knobs for fabric- and
-	// synth-kind scenarios (shard-hosted event loops and bring-up wave
-	// size); they never enter scenario names or seeds, so toggling them
+	// synth-kind scenarios (event-loop count and bring-up wave size);
+	// they never enter scenario names or seeds, so toggling them
 	// must not change any audit outcome.
 	FabricShards int
 	FabricWave   int

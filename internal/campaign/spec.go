@@ -42,12 +42,11 @@ type Spec struct {
 	// fingerprint).
 	Topologies    []string `json:"topologies,omitempty"`
 	FabricAttacks []string `json:"fabric_attacks,omitempty"`
-	// FabricShards and FabricWave configure shard-hosted execution for
-	// fabric- and synth-kind scenarios: FabricShards > 0 runs every
-	// switch and the injector on that many event loops (0 = legacy
-	// goroutine-per-switch mode), FabricWave bounds concurrent
-	// handshakes during bring-up. Execution knobs only — they never
-	// change scenario names, seeds, or audit outcomes.
+	// FabricShards and FabricWave configure execution for fabric- and
+	// synth-kind scenarios: FabricShards is how many event loops the
+	// switches and the injector run on (0 = one loop), FabricWave bounds
+	// concurrent handshakes during bring-up. Execution knobs only — they
+	// never change scenario names, seeds, or audit outcomes.
 	FabricShards int `json:"fabric_shards,omitempty"`
 	FabricWave   int `json:"fabric_wave,omitempty"`
 	// SynthCount and SynthSeed parameterize the synth kind: SynthCount

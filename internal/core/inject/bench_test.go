@@ -28,8 +28,9 @@ func benchWire(b *testing.B) []byte {
 // freshly allocated per-message read buffer, an unconditional full payload
 // decode, a heap-allocated view and environment, a formatted per-message
 // log event, and a fresh outgoing list — the work the zero-copy path
-// eliminates for untouched messages.
-func baselineProcess(inj *Injector, ev *event, wire []byte) {
+// eliminates for untouched messages. Delivery is the loop's own (pending
+// list, then publish), so the two sub-benchmarks differ only in that work.
+func baselineProcess(inj *Injector, sh *shard, ev *event, wire []byte) {
 	raw := append([]byte(nil), wire...)
 	view := &lang.MessageView{
 		Conn: ev.conn, Direction: ev.dir, Timestamp: inj.clk.Now(),
@@ -48,24 +49,26 @@ func baselineProcess(inj *Injector, ev *event, wire []byte) {
 		Detail: fmt.Sprintf("len=%d id=%d", view.Length, view.ID),
 	})
 	out := []outMsg{{conn: ev.conn, dir: ev.dir, raw: raw, fromCurrent: true}}
-	state := inj.cfg.Attack.States[inj.exec.currentState()]
-	env := &lang.Env{View: view, Storage: inj.exec.storage, System: inj.cfg.System}
+	state := inj.cfg.Attack.States[inj.CurrentState()]
+	env := &lang.Env{View: view, Storage: inj.Storage(), System: inj.cfg.System}
 	for _, rule := range state.Rules {
 		if !rule.AppliesTo(ev.conn) {
 			continue
 		}
-		if matched, err := inj.exec.evalCond(rule.Cond, env); err != nil || !matched {
+		if matched, err := sh.exec.evalCond(rule.Cond, env); err != nil || !matched {
 			continue
 		}
 	}
 	for _, m := range out {
-		_ = ev.sess.write(m.dir, m.raw)
-		inj.log.Count(m.conn, func(s *Stats) { s.Delivered++ })
+		sh.queueLocal(ev.sess, m.dir, m.raw)
 	}
+	sh.publish()
 }
 
 // BenchmarkInjectorPassthrough measures proxying one message that a
-// non-matching rule inspects but nothing rewrites.
+// non-matching rule inspects but nothing rewrites: the executor and one
+// publish per message, without the intake queue (BenchmarkInjectorShardedBatch
+// measures the whole loop in batches).
 //
 //   - lazy: the zero-copy path — pooled buffers, frame-backed view, lean log.
 //   - fulldecode-baseline: the pre-refactor path for the same traffic.
@@ -73,7 +76,7 @@ func BenchmarkInjectorPassthrough(b *testing.B) {
 	attack := oneRuleAttack(isType("PACKET_IN"), model.AllCapabilities, lang.DropMessage{})
 
 	b.Run("lazy", func(b *testing.B) {
-		inj, sess := pumpless(b, attack, model.AllCapabilities, nil)
+		_, sh, sess := shardedLoopback(b, attack, nil)
 		wire := benchWire(b)
 		ev := &event{kind: EventMessage, conn: sess.conn, dir: lang.SwitchToController, sess: sess}
 		b.ReportAllocs()
@@ -81,21 +84,20 @@ func BenchmarkInjectorPassthrough(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ev.raw = append(openflow.GetBuffer(), wire...)
-			inj.exec.process(ev)
-			openflow.PutBuffer(<-sess.toCtrl)
+			sh.exec.process(ev)
+			sh.publish()
 		}
 	})
 
 	b.Run("fulldecode-baseline", func(b *testing.B) {
-		inj, sess := pumpless(b, attack, model.AllCapabilities, func(cfg *Config) { cfg.LeanLog = false })
+		inj, sh, sess := shardedLoopback(b, attack, func(cfg *Config) { cfg.LeanLog = false })
 		wire := benchWire(b)
 		ev := &event{kind: EventMessage, conn: sess.conn, dir: lang.SwitchToController, sess: sess}
 		b.ReportAllocs()
 		b.SetBytes(int64(len(wire)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			baselineProcess(inj, ev, wire)
-			<-sess.toCtrl
+			baselineProcess(inj, sh, ev, wire)
 		}
 	})
 }
@@ -106,7 +108,7 @@ func BenchmarkInjectorPassthrough(b *testing.B) {
 func BenchmarkInjectorMaterialized(b *testing.B) {
 	attack := oneRuleAttack(isType("FLOW_MOD"), model.AllCapabilities,
 		lang.ModifyField{Field: lang.PropFMPriority, Value: lang.Lit{Value: int64(9)}})
-	inj, sess := pumpless(b, attack, model.AllCapabilities, nil)
+	_, sh, sess := shardedLoopback(b, attack, nil)
 	wire := benchWire(b)
 	ev := &event{kind: EventMessage, conn: sess.conn, dir: lang.SwitchToController, sess: sess}
 	b.ReportAllocs()
@@ -114,7 +116,7 @@ func BenchmarkInjectorMaterialized(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev.raw = append(openflow.GetBuffer(), wire...)
-		inj.exec.process(ev)
-		openflow.PutBuffer(<-sess.toCtrl)
+		sh.exec.process(ev)
+		sh.publish()
 	}
 }

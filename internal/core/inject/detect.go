@@ -37,7 +37,7 @@ type DetectionSample struct {
 // INJECTNEWMESSAGE/SENDSTORED action rather than the proxied stream) and
 // accumulates a DetectionScore.
 //
-// Observe runs on the executor hot path and must be fast; with Shards > 0
+// Observe runs on the executor hot path and must be fast; with Shards > 1
 // it is called from multiple shard loops concurrently and must be safe for
 // concurrent use.
 type DetectionHook interface {
@@ -102,7 +102,7 @@ func (inj *Injector) DetectionScore() DetectionScore {
 // with the batch's outgoing message list.
 func (ex *executor) observeDetection(out []outMsg) {
 	hook := ex.inj.cfg.Detection
-	now := ex.now()
+	now := ex.batchNow
 	for i := range out {
 		m := &out[i]
 		if len(m.raw) < openflow.HeaderLen {

@@ -11,67 +11,65 @@ import (
 	"attain/internal/telemetry"
 )
 
-// executor implements Algorithm 1: a single goroutine consuming all
-// control-plane events in arrival order (total ordering, §VI-C), matching
-// them against the current state's rules, and actuating the resulting
-// actions through the message modifier.
+// executor implements Algorithm 1 for one shard loop: it takes the loop's
+// events in arrival order (total ordering, §VI-C, across the whole injector
+// when there is one loop), matches them against the current state's rules,
+// and actuates the resulting actions through the message modifier.
 type executor struct {
 	inj *Injector
-	// state holds σ and Δ — private by default, shareable across
-	// injector instances for distributed injection (§VIII-C).
-	state   StateStore
+	// storage is Δ of the injector's StateStore (σ is read and set through
+	// inj.state) — private by default, shareable across injector instances
+	// for distributed injection (§VIII-C).
 	storage *lang.Storage
 	// rng drives stochastic rules (Rule.Prob); seeded deterministically
-	// so runs are reproducible. Only the executor goroutine touches it.
+	// so runs are reproducible. Only the loop goroutine touches it.
 	rng *rand.Rand
 	// view, env, and out are per-message scratch reused across process
 	// calls so the passthrough fast path performs zero heap allocations.
-	// Only the executor goroutine touches them; anything that outlives a
+	// Only the loop goroutine touches them; anything that outlives a
 	// process call (captured messages, async deliveries) copies what it
 	// needs out of them.
 	view lang.MessageView
 	env  lang.Env
 	out  []outMsg
-	// sh is the shard whose loop drives this executor, nil for the legacy
-	// single-threaded core. Deliveries to sessions owned by sh skip the
-	// write queue and go straight onto the shard's pending lists.
+	// sh is the shard whose loop drives this executor. Deliveries to
+	// sessions owned by sh skip the write queue and go straight onto the
+	// shard's pending lists.
 	sh *shard
 	// typeCounts accumulates lean-log per-type message counts within one
-	// shard batch, published in bulk by shard.flushBook. Nil in pump mode,
-	// where CountType pays the log lock per message.
+	// shard batch, published in bulk by shard.flushBook.
 	typeCounts map[string]uint64
-	// batchNow is the clock reading taken once per shard batch; message
-	// views and verdict events within the batch share it instead of each
-	// reading the clock. Zero in pump mode (per-message reads).
+	// batchNow is the clock reading message views and verdict events
+	// share: taken once per shard batch, and again after the loop blocks
+	// (see block), instead of once per message.
 	batchNow time.Time
 }
 
-// now returns the executor's notion of the current time: the batch
-// snapshot in a shard loop, a fresh clock read otherwise.
-func (ex *executor) now() time.Time {
-	if !ex.batchNow.IsZero() {
-		return ex.batchNow
+func newExecutor(inj *Injector, seed int64, sh *shard) *executor {
+	return &executor{
+		inj:        inj,
+		storage:    inj.state.Storage(),
+		rng:        rand.New(rand.NewSource(seed)),
+		sh:         sh,
+		typeCounts: make(map[string]uint64, 32),
 	}
-	return ex.inj.clk.Now()
 }
 
-func newExecutor(inj *Injector, store StateStore, seed int64, sh *shard) *executor {
-	ex := &executor{
-		inj:     inj,
-		state:   store,
-		storage: store.Storage(),
-		rng:     rand.New(rand.NewSource(seed)),
-		sh:      sh,
-	}
-	if sh != nil {
-		ex.typeCounts = make(map[string]uint64, 32)
-	}
-	return ex
+// block stalls the loop for d, the way Algorithm 1's single thread sleeps
+// on a DELAYMESSAGE or SLEEP. Everything earlier messages of the chunk
+// queued goes on the wire first — the algorithm delivers each message's
+// list before taking the next, so a delay on message k must not hold back
+// messages 1..k-1 — and the batch timestamp is read again afterwards so
+// later messages are not stamped with the time before the sleep.
+func (ex *executor) block(d time.Duration) {
+	ex.sh.publish()
+	ex.inj.clk.Sleep(d)
+	ex.batchNow = ex.inj.clk.Now()
 }
 
-func (ex *executor) currentState() string { return ex.state.CurrentState() }
+func (ex *executor) currentState() string { return ex.inj.state.CurrentState() }
 
-func (ex *executor) setState(next string) { ex.state.SetState(next) }
+func (ex *executor) setState(next string) { ex.inj.state.SetState(next) }
 
 // outMsg is one entry of the outgoing message list of Algorithm 1.
 type outMsg struct {
@@ -83,26 +81,6 @@ type outMsg struct {
 	// fromCurrent marks entries derived from the in-flight message (the
 	// original and its duplicates), the targets of DROP/MODIFY/etc.
 	fromCurrent bool
-}
-
-// run consumes events until the injector stops. Events are pooled: once an
-// event is fully processed (including closing its done channel) the
-// executor recycles it, so nothing may retain a pointer to it.
-func (ex *executor) run() {
-	for {
-		select {
-		case <-ex.inj.stop:
-			return
-		case ev := <-ex.inj.events:
-			if ev.kind == EventMessage {
-				ex.process(ev)
-			}
-			if ev.done != nil {
-				close(ev.done)
-			}
-			ev.recycle()
-		}
-	}
 }
 
 // disposition accumulates what the rules did to the in-flight message, so
@@ -132,36 +110,16 @@ func (d *disposition) verdict() string {
 // buffer that ends up with no owner (dropped or replaced originals) is
 // recycled before returning.
 func (ex *executor) process(ev *event) {
-	// The session caches the conn-keyed lookups (grant, counters, stats);
-	// fall back to the maps for events without a bound session.
-	var granted model.CapabilitySet
-	var ctrs *connCounters
-	if sess := ev.sess; sess != nil && sess.ctrs != nil {
-		granted, ctrs = sess.caps, sess.ctrs
-	} else {
-		granted = ex.inj.cfg.Attacker.CapsFor(ev.conn)
-		ctrs = ex.inj.countersFor(ev.conn)
-	}
-	view := ex.resetView(ev, granted)
+	// The session caches the conn-keyed lookups (grant, counters, stats).
+	ctrs := ev.sess.ctrs
+	view := ex.resetView(ev, ev.sess.caps)
 	ctrs.seen.Inc()
 	var disp disposition
-	// Seen bookkeeping: the shard loop accumulates per session and
-	// publishes once per batch (flushBook); the pump path pays the log
-	// lock per message.
-	switch {
-	case ex.sh != nil && ev.sess != nil && ev.sess.stats != nil:
-		ex.sh.noteSeen(ev.sess)
-	case ev.sess != nil && ev.sess.stats != nil:
-		ex.inj.log.CountRef(ev.sess.stats, func(s *Stats) { s.Seen++ })
-	default:
-		ex.inj.log.Count(ev.conn, func(s *Stats) { s.Seen++ })
-	}
+	// Seen and lean-log type counts accumulate per batch and are published
+	// in one log-lock round (flushBook).
+	ex.sh.noteSeen(ev.sess)
 	if ex.inj.cfg.LeanLog {
-		if ex.sh != nil {
-			ex.typeCounts[view.TypeName()]++
-		} else {
-			ex.inj.log.CountType(view.TypeName())
-		}
+		ex.typeCounts[view.TypeName()]++
 	} else {
 		ex.inj.log.Add(Event{
 			At: view.Timestamp, Kind: EventMessage, Conn: ev.conn,
@@ -252,7 +210,7 @@ func (ex *executor) process(ev *event) {
 			Layer: telemetry.LayerInjector, Kind: telemetry.KindVerdict,
 			Conn: ctrs.label, MsgType: view.TypeName(),
 			Verdict: disp.verdict(),
-		}, ex.now())
+		}, ex.batchNow)
 	}
 
 	// Detection observation pass: every outgoing frame — forwarded,
@@ -302,7 +260,7 @@ func (ex *executor) process(ev *event) {
 			// The single-threaded injector blocks on delays, preserving
 			// total order at the cost of head-of-line blocking — exactly
 			// the centralized design the paper describes.
-			ex.inj.clk.Sleep(m.delay)
+			ex.block(m.delay)
 		}
 		if isOriginal {
 			originalOwned = false
@@ -319,31 +277,29 @@ func (ex *executor) process(ev *event) {
 }
 
 // deliver writes one outgoing message to its session, taking ownership of
-// m.raw. On a shard loop, deliveries to sessions the shard owns append
-// straight to the pending flush lists — no queue, no handoff; everything
-// else (cross-shard sessions, pump mode) goes through deliverAsync.
+// m.raw. Deliveries to sessions this shard owns append straight to the
+// pending flush lists — no queue, no handoff; sessions on other shards go
+// through deliverAsync.
 func (ex *executor) deliver(evSess *session, evConn model.Conn, m outMsg) {
-	if ex.sh != nil {
-		sess := evSess
-		if m.conn != evConn || sess == nil {
-			sess = ex.inj.sessionFor(m.conn)
-		}
-		if sess != nil && sess.sh == ex.sh {
-			// Delivered is counted at flush time, amortized per batch.
-			ex.sh.queueLocal(sess, m.dir, m.raw)
-			return
-		}
+	sess := evSess
+	if m.conn != evConn {
+		sess = ex.inj.sessionFor(m.conn)
+	}
+	if sess != nil && sess.sh == ex.sh {
+		// Delivered is counted at flush time, amortized per batch.
+		ex.sh.queueLocal(sess, m.dir, m.raw)
+		return
 	}
 	ex.inj.deliverAsync(evSess, evConn, m)
 }
 
 // deliverAsync is the goroutine-safe delivery path: it hands the buffer to
-// the session's write queue (pump channel or owning shard's intake) and
-// recycles it on any failure. Safe to call from async-delay timers and
-// foreign shard loops alike.
+// the intake of the shard that owns sess, which counts it Delivered when it
+// flushes, and recycles it on any failure. Safe to call from async-delay
+// timers and foreign shard loops alike.
 func (inj *Injector) deliverAsync(evSess *session, evConn model.Conn, m outMsg) {
 	sess := evSess
-	if m.conn != evConn || sess == nil {
+	if m.conn != evConn {
 		sess = inj.sessionFor(m.conn)
 	}
 	if sess == nil {
@@ -354,22 +310,12 @@ func (inj *Injector) deliverAsync(evSess *session, evConn model.Conn, m outMsg) 
 		})
 		return
 	}
-	if err := sess.write(m.dir, m.raw); err != nil {
+	if err := sess.sh.enqueueWrite(sess, m.dir, m.raw); err != nil {
 		openflow.PutBuffer(m.raw)
 		inj.log.Add(Event{
 			At: inj.clk.Now(), Kind: EventError, Conn: m.conn,
 			Detail: fmt.Sprintf("deliver: %v", err),
 		})
-		return
-	}
-	// Sharded sessions count Delivered when their owning shard flushes the
-	// frame; pump-mode sessions count here, on queue handoff.
-	if sess.sh == nil {
-		if sess.stats != nil {
-			inj.log.CountRef(sess.stats, func(s *Stats) { s.Delivered++ })
-		} else {
-			inj.log.Count(m.conn, func(s *Stats) { s.Delivered++ })
-		}
 	}
 }
 
@@ -382,7 +328,7 @@ func (ex *executor) resetView(ev *event, granted model.CapabilitySet) *lang.Mess
 	*view = lang.MessageView{
 		Conn:      ev.conn,
 		Direction: ev.dir,
-		Timestamp: ex.now(),
+		Timestamp: ex.batchNow,
 		Length:    len(ev.raw),
 		ID:        ex.inj.nextMsgID(),
 	}
@@ -605,7 +551,7 @@ func (ex *executor) modify(act lang.Action, ev *event, view *lang.MessageView, e
 	case lang.Sleep:
 		// SLEEP halts attack state execution (§V-D); the centralized
 		// executor blocks, stalling all proxied connections.
-		ex.inj.clk.Sleep(a.D)
+		ex.block(a.D)
 		return out
 	case lang.SysCmd:
 		fn := ex.inj.syscmdFor(a.Host)

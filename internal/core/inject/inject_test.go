@@ -452,7 +452,7 @@ func TestStoreAndReplay(t *testing.T) {
 	h.ctrl.send(t, 2, fm2)
 	h.sw.expectNone(t, 50*time.Millisecond)
 	// Barrier alone does not order against messages still inside the
-	// session pumps, so poll the (thread-safe) deque instead.
+	// session readers, so poll the (thread-safe) deque instead.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) && h.inj.Storage().Deque("q").Len() < 2 {
 		time.Sleep(2 * time.Millisecond)
@@ -548,13 +548,17 @@ func TestCounterDeque(t *testing.T) {
 		t.Fatalf("counter never reached %d (counter=%v)", n, v)
 	}
 
+	// The counter moves mid-message, one rule before the transition it
+	// arms; the barrier lets that message finish before σ is read.
 	h.sw.send(t, 1, &openflow.Hello{})
 	waitCounter(1)
+	h.inj.Barrier()
 	if got := h.inj.CurrentState(); got != "s0" {
 		t.Fatalf("after 1 hello state = %s", got)
 	}
 	h.sw.send(t, 2, &openflow.Hello{})
 	waitCounter(2)
+	h.inj.Barrier()
 	if got := h.inj.CurrentState(); got != "armed" {
 		t.Fatalf("after 2 hellos state = %s", got)
 	}
@@ -627,7 +631,7 @@ func TestStochasticRuleDropsSomeMessages(t *testing.T) {
 		h.sw.send(t, uint32(i), &openflow.EchoRequest{})
 	}
 	// Wait for the executor to see every message (Barrier does not order
-	// against frames still inside the session pumps).
+	// against frames still inside the session readers).
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && h.inj.Log().Stats(h.conn).Seen < n {
 		time.Sleep(2 * time.Millisecond)

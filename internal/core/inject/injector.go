@@ -31,7 +31,7 @@ type Config struct {
 	// injector listens on for that connection's switch. Defaults to
 	// DefaultProxyAddr.
 	ProxyAddr func(model.Conn) string
-	// EventBuffer sizes the executor's inbound queue (default 4096).
+	// EventBuffer sizes each shard loop's intake queue (default 4096).
 	EventBuffer int
 	// LogWriter optionally streams log lines.
 	LogWriter io.Writer
@@ -71,21 +71,18 @@ type Config struct {
 	// logged. With LeanLog set and telemetry disabled, steady-state
 	// passthrough proxying performs zero heap allocations per message.
 	LeanLog bool
-	// Shards selects the sharded batch-draining core: sessions are
-	// assigned to one of Shards event loops at accept time (seeded by
-	// StochasticSeed, so assignment is reproducible), each loop owning its
-	// sessions' conns and executor state shared-nothing and draining
-	// frames in batches with one vectored flush per touched session. Zero
-	// keeps the per-session pump path — the right choice for low session
-	// counts and for attacks that need the paper's global total order
-	// (sharding orders events totally per shard, the §VIII-C trade-off).
+	// Shards is the number of event loops. Sessions are assigned to a loop
+	// at accept time (seeded by StochasticSeed, so assignment is
+	// reproducible); each loop owns its sessions' conns and executor state
+	// shared-nothing and drains frames in batches with one coalesced write
+	// per touched session. Zero or less means one loop: Algorithm 1's
+	// single-threaded executor and its global total order, which the paper
+	// testbed uses. More loops order events totally per loop only (the
+	// §VIII-C trade-off) and are for session counts one core cannot carry.
 	Shards int
-	// Batch bounds how many frames one shard loop iteration processes
-	// between flushes (default 256). Only meaningful with Shards > 0.
-	Batch int
 	// Detection, when non-nil, observes every frame the injector emits
 	// onto the control channel and is scored against ground truth (see
-	// DetectionHook). With Shards > 0 the hook is called concurrently.
+	// DetectionHook). With Shards > 1 the hook is called concurrently.
 	Detection DetectionHook
 }
 
@@ -95,13 +92,16 @@ func DefaultProxyAddr(conn model.Conn) string {
 }
 
 // Injector is the runtime injector: one proxy listener per control-plane
-// connection, feeding a single-threaded attack executor.
+// connection, feeding the attack executor of the shard loop that owns the
+// connection's session.
 type Injector struct {
 	cfg  Config
 	clk  clock.Clock
 	log  *Log
-	exec *executor
 	tele *telemetry.Telemetry
+	// state holds σ and Δ, shared by every shard's executor so state
+	// transitions and deque storage stay consistent across loops.
+	state StateStore
 	// counters maps each proxied connection to its pre-resolved telemetry
 	// counters; read-only after New.
 	counters map[model.Conn]*connCounters
@@ -112,9 +112,9 @@ type Injector struct {
 	// whole injector. Read-only after New; rules watching few conns stay
 	// on the scan (a map lookup costs more than comparing two entries).
 	ruleConns map[*lang.Rule]map[model.Conn]struct{}
-	// shards holds the batch-draining event loops (empty in pump mode);
-	// read-only after New. imbalance counts skew observations between the
-	// busiest and idlest shard (see shard.observeImbalance).
+	// shards holds the batch-draining event loops; read-only after New.
+	// imbalance counts skew observations between the busiest and idlest
+	// shard (see shard.observeImbalance).
 	shards    []*shard
 	imbalance *telemetry.Counter
 
@@ -133,14 +133,13 @@ type Injector struct {
 	// Detection confusion matrix (see detect.go). Atomics: shard loops
 	// score concurrently.
 	detTP, detFP, detFN, detTN atomic.Uint64
-	events                     chan *event
 	stop                       chan struct{}
 	wg                         sync.WaitGroup
 }
 
-// eventPool recycles executor events: the pump allocates nothing per
-// message in steady state, and the executor returns each event after
-// processing it.
+// eventPool recycles executor events: readers allocate nothing per message
+// in steady state, and the shard loop returns each event after processing
+// it.
 var eventPool = sync.Pool{New: func() interface{} { return new(event) }}
 
 // recycle drops the event's pointer fields and returns it to the pool.
@@ -154,8 +153,8 @@ func (ev *event) recycle() {
 	eventPool.Put(ev)
 }
 
-// event is one unit of work for the executor: a proxied message or a
-// session-control notification.
+// event is one unit of work for a shard loop: a proxied message, an
+// outbound frame (eventWrite), or a barrier.
 type event struct {
 	kind    EventKind // EventMessage or EventConn
 	conn    model.Conn
@@ -169,30 +168,19 @@ type event struct {
 }
 
 // session is one live proxied control-plane connection: the accepted
-// switch-side conn and the dialed controller-side conn.
-//
-// In pump mode (the default), outbound bytes go through buffered
-// per-direction write pump goroutines so the single-threaded executor
-// never head-of-line blocks on a slow peer — the role the OS socket
-// buffers played for the paper's Python injector.
-//
-// In sharded mode (sh != nil) there are no pumps: the owning shard's loop
-// appends outgoing frames to the per-direction pending lists during a
-// batch and writes each direction with one vectored flush at batch end.
-// The pending fields are owned by the shard loop exclusively.
+// switch-side conn and the dialed controller-side conn. There are no
+// writer goroutines: the owning shard's loop appends outgoing frames to the
+// per-direction pending lists during a batch and writes each direction
+// with one coalesced flush at batch end, so a slow peer is absorbed by the
+// transport's buffers — the role the OS socket buffers played for the
+// paper's Python injector. The pending fields are owned by the shard loop
+// exclusively.
 type session struct {
 	conn       model.Conn
 	switchSide net.Conn
 	ctrlSide   net.Conn
-	toSwitch   chan []byte
-	toCtrl     chan []byte
 	closeOnce  sync.Once
 	closed     chan struct{}
-	// onDrop, when non-nil, is called with the number of queued outbound
-	// frames recycled unsent at shutdown (write-pump drain or a failed
-	// shard flush), so drops stay visible in the counters.
-	onDrop func(n int)
-
 	// Hot-path caches resolved once at open (see Injector.bindSession):
 	// the attacker's capability grant, the telemetry counters, and the
 	// log's stats record for this connection. Grants and the counters map
@@ -205,7 +193,6 @@ type session struct {
 	// in bulk by shard.flushBook. Owned by the shard loop.
 	batchSeen uint64
 
-	// Sharded-mode state (nil/unused in pump mode).
 	sh         *shard
 	pendSwitch [][]byte
 	pendCtrl   [][]byte
@@ -213,58 +200,12 @@ type session struct {
 }
 
 func newSession(conn model.Conn, swConn, ctrlConn net.Conn, sh *shard) *session {
-	s := &session{
+	return &session{
 		conn:       conn,
 		switchSide: swConn,
 		ctrlSide:   ctrlConn,
 		closed:     make(chan struct{}),
 		sh:         sh,
-	}
-	if sh == nil {
-		s.toSwitch = make(chan []byte, 4096)
-		s.toCtrl = make(chan []byte, 4096)
-		go s.pumpOut(s.toSwitch, swConn)
-		go s.pumpOut(s.toCtrl, ctrlConn)
-	}
-	return s
-}
-
-func (s *session) pumpOut(ch chan []byte, dst net.Conn) {
-	// On any exit, recycle frames still queued behind the pump and count
-	// them as drops — they were accepted by write() but never delivered.
-	// (A racing write() can still slip a frame in after this drain; that
-	// buffer is simply garbage-collected, the pool is best-effort.)
-	defer func() {
-		dropped := 0
-		for {
-			select {
-			case buf := <-ch:
-				openflow.PutBuffer(buf)
-				dropped++
-			default:
-				if dropped > 0 && s.onDrop != nil {
-					s.onDrop(dropped)
-				}
-				return
-			}
-		}
-	}()
-	for {
-		select {
-		case <-s.closed:
-			return
-		case buf := <-ch:
-			// The pump owns buf once it is queued; net.Conn implementations
-			// (kernel sockets and the in-memory transport alike) have copied
-			// the bytes by the time Write returns, so the buffer is recycled
-			// immediately.
-			_, err := dst.Write(buf)
-			openflow.PutBuffer(buf)
-			if err != nil {
-				s.close()
-				return
-			}
-		}
 	}
 }
 
@@ -274,26 +215,6 @@ func (s *session) close() {
 		_ = s.switchSide.Close()
 		_ = s.ctrlSide.Close()
 	})
-}
-
-// write queues raw bytes toward the given direction's destination, taking
-// ownership of raw. In pump mode it blocks only if the 4096-message buffer
-// is full; in sharded mode it enqueues a write event on the owning shard's
-// loop (safe from any goroutine) which delivers it in a later batch flush.
-func (s *session) write(dir lang.Direction, raw []byte) error {
-	if s.sh != nil {
-		return s.sh.enqueueWrite(s, dir, raw)
-	}
-	ch := s.toSwitch
-	if dir == lang.SwitchToController {
-		ch = s.toCtrl
-	}
-	select {
-	case ch <- raw:
-		return nil
-	case <-s.closed:
-		return net.ErrClosed
-	}
 }
 
 // New creates an injector. Call Start to begin proxying.
@@ -319,11 +240,8 @@ func New(cfg Config) (*Injector, error) {
 	if err := cfg.Attack.Validate(cfg.System, cfg.Attacker); err != nil {
 		return nil, err
 	}
-	if cfg.Shards < 0 {
-		cfg.Shards = 0
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = defaultBatch
+	if cfg.Shards <= 0 {
+		cfg.Shards = 1
 	}
 	inj := &Injector{
 		cfg:      cfg,
@@ -332,25 +250,18 @@ func New(cfg Config) (*Injector, error) {
 		tele:     cfg.Telemetry,
 		sessions: make(map[model.Conn]*session),
 		syscmd:   make(map[model.NodeID]func(string) error),
-		events:   make(chan *event, cfg.EventBuffer),
 		stop:     make(chan struct{}),
 	}
 	inj.counters = buildConnCounters(inj.tele, inj.proxiedConns())
 	inj.ruleConns = buildRuleConnSets(cfg.Attack)
-	// σ and Δ live in one store shared by every executor — the legacy
-	// single-threaded one and (in sharded mode) each shard's — so state
-	// transitions and deque storage stay consistent across shards.
-	store := cfg.State
-	if store == nil {
-		store = newLocalState(cfg.Attack.Start)
+	inj.state = cfg.State
+	if inj.state == nil {
+		inj.state = newLocalState(cfg.Attack.Start)
 	}
-	inj.exec = newExecutor(inj, store, cfg.StochasticSeed, nil)
-	if cfg.Shards > 0 {
-		inj.imbalance = inj.tele.Counter("injector.shards.imbalance")
-		inj.shards = make([]*shard, cfg.Shards)
-		for i := range inj.shards {
-			inj.shards[i] = newShard(inj, i, store)
-		}
+	inj.imbalance = inj.tele.Counter("injector.shards.imbalance")
+	inj.shards = make([]*shard, cfg.Shards)
+	for i := range inj.shards {
+		inj.shards[i] = newShard(inj, i)
 	}
 	return inj, nil
 }
@@ -387,17 +298,14 @@ func (inj *Injector) ruleApplies(rule *lang.Rule, conn model.Conn) bool {
 	return rule.AppliesTo(conn)
 }
 
-// Sharded reports whether the injector runs the batch-draining core.
-func (inj *Injector) Sharded() bool { return len(inj.shards) > 0 }
-
 // Log exposes the injector's event log.
 func (inj *Injector) Log() *Log { return inj.log }
 
-// CurrentState returns the executor's current attack state name.
-func (inj *Injector) CurrentState() string { return inj.exec.currentState() }
+// CurrentState returns the current attack state name σ.
+func (inj *Injector) CurrentState() string { return inj.state.CurrentState() }
 
 // Storage exposes the attack's deque storage Δ (for monitors and tests).
-func (inj *Injector) Storage() *lang.Storage { return inj.exec.storage }
+func (inj *Injector) Storage() *lang.Storage { return inj.state.Storage() }
 
 // ProxyAddrFor returns the address switches should dial for conn.
 func (inj *Injector) ProxyAddrFor(conn model.Conn) string {
@@ -412,7 +320,7 @@ func (inj *Injector) RegisterSysCmd(host model.NodeID, fn func(cmd string) error
 }
 
 // Start opens one proxy listener per control-plane connection and launches
-// the executor.
+// the shard loops.
 func (inj *Injector) Start() error {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
@@ -437,20 +345,12 @@ func (inj *Injector) Start() error {
 			inj.acceptLoop(conn, ln)
 		}()
 	}
-	if inj.Sharded() {
-		for _, sh := range inj.shards {
-			sh := sh
-			inj.wg.Add(1)
-			go func() {
-				defer inj.wg.Done()
-				sh.run()
-			}()
-		}
-	} else {
+	for _, sh := range inj.shards {
+		sh := sh
 		inj.wg.Add(1)
 		go func() {
 			defer inj.wg.Done()
-			inj.exec.run()
+			sh.run()
 		}()
 	}
 	inj.started = true
@@ -507,11 +407,7 @@ func (inj *Injector) acceptLoop(conn model.Conn, ln net.Listener) {
 		}
 		// Serve this session to completion before accepting the switch's
 		// next reconnect (a switch has one control channel at a time).
-		if sess.sh != nil {
-			inj.serveSessionSharded(sess)
-		} else {
-			inj.serveSession(sess)
-		}
+		inj.serveSession(sess)
 	}
 }
 
@@ -527,10 +423,6 @@ func (inj *Injector) openSession(conn model.Conn, swConn net.Conn) (*session, er
 	}
 	sess := newSession(conn, swConn, ctrlConn, inj.shardFor(conn))
 	inj.bindSession(sess)
-	sess.onDrop = func(n int) {
-		sess.ctrs.dropped.Add(uint64(n))
-		inj.log.CountRef(sess.stats, func(s *Stats) { s.Dropped += uint64(n) })
-	}
 	inj.mu.Lock()
 	inj.sessions[conn] = sess
 	inj.mu.Unlock()
@@ -547,53 +439,21 @@ func (inj *Injector) openSession(conn model.Conn, swConn net.Conn) (*session, er
 // body). Frames larger than the buffer degrade gracefully to direct reads.
 const readBufSize = 4096
 
-// serveSession pumps both directions into the executor until either side
-// closes.
+// serveSession reads both directions into the owning shard's intake queue
+// until either side closes. Two reader goroutines remain per session (a
+// blocking Read must not stall other sessions), but the write side has no
+// goroutines at all: the shard loop flushes outbound frames in batches.
 func (inj *Injector) serveSession(sess *session) {
-	var wg sync.WaitGroup
-	pump := func(conn net.Conn, dir lang.Direction) {
-		src := bufio.NewReaderSize(conn, readBufSize)
-		defer wg.Done()
-		for {
-			// Each frame is read into a pooled buffer whose ownership moves
-			// with the event: executor, then delivery, then the write pump,
-			// which recycles it. ReadRawInto returns the buffer even on
-			// error so it can be recycled here.
-			raw, err := openflow.ReadRawInto(src, openflow.GetBuffer())
-			if err != nil {
-				openflow.PutBuffer(raw)
-				sess.close()
-				return
-			}
-			ev := eventPool.Get().(*event)
-			*ev = event{kind: EventMessage, conn: sess.conn, dir: dir, raw: raw, sess: sess}
-			select {
-			case inj.events <- ev:
-			case <-inj.stop:
-				openflow.PutBuffer(raw)
-				sess.close()
-				return
-			}
-		}
-	}
-	wg.Add(2)
-	go pump(sess.switchSide, lang.SwitchToController)
-	go pump(sess.ctrlSide, lang.ControllerToSwitch)
-	wg.Wait()
-	inj.finishSession(sess)
-}
-
-// serveSessionSharded reads both directions into the owning shard's intake
-// queue until either side closes. Two reader goroutines remain per session
-// (a blocking Read must not stall other sessions), but the write side has
-// no goroutines at all: the shard loop flushes outbound frames in batches.
-func (inj *Injector) serveSessionSharded(sess *session) {
 	var wg sync.WaitGroup
 	read := func(conn net.Conn, dir lang.Direction) {
 		defer wg.Done()
 		src := bufio.NewReaderSize(conn, readBufSize)
 		sh := sess.sh
 		for {
+			// Each frame is read into a pooled buffer whose ownership moves
+			// with the event: shard loop, then delivery, then the flush that
+			// recycles it. ReadRawInto returns the buffer even on error so
+			// it can be recycled here.
 			raw, err := openflow.ReadRawInto(src, openflow.GetBuffer())
 			if err != nil {
 				openflow.PutBuffer(raw)
@@ -668,29 +528,18 @@ func (inj *Injector) proxiedConns() []model.Conn {
 	return inj.cfg.System.ControlPlane
 }
 
-// Barrier enqueues a no-op event and waits until the executor has drained
-// everything enqueued before it — a test synchronization aid. Note that
-// it does NOT order against frames still being read by the per-session
-// pump goroutines: a message written to a proxied connection may be
-// enqueued after a Barrier issued later. Callers needing to observe the
-// effects of specific messages should poll on the observable effect.
+// Barrier enqueues a no-op event on every shard and waits until each loop
+// has drained and flushed everything enqueued before it — a test
+// synchronization aid. Note that it does NOT order against frames still
+// being read by the per-session reader goroutines: a message written to a
+// proxied connection may be enqueued after a Barrier issued later. Callers
+// needing to observe the effects of specific messages should poll on the
+// observable effect.
 func (inj *Injector) Barrier() {
-	if inj.Sharded() {
-		// One no-op event per shard: each loop closes its done channel
-		// after draining everything enqueued before it.
-		for _, sh := range inj.shards {
-			done := make(chan struct{})
-			if sh.enqueueBarrier(done) {
-				<-done
-			}
+	for _, sh := range inj.shards {
+		done := make(chan struct{})
+		if sh.enqueueBarrier(done) {
+			<-done
 		}
-		return
-	}
-	done := make(chan struct{})
-	ev := &event{kind: EventConn, done: done}
-	select {
-	case inj.events <- ev:
-		<-done
-	case <-inj.stop:
 	}
 }

@@ -124,15 +124,6 @@ func (l *Log) Add(e Event) {
 	}
 }
 
-// CountType records one seen message of the given OpenFlow type without
-// retaining a log event — the lean-log hot path keeps MessageTypeCounts
-// accurate while skipping per-message event formatting.
-func (l *Log) CountType(msgType string) {
-	l.mu.Lock()
-	l.byType[msgType]++
-	l.mu.Unlock()
-}
-
 // Count atomically updates a counter for conn.
 func (l *Log) Count(conn model.Conn, update func(*Stats)) {
 	l.mu.Lock()
@@ -170,8 +161,9 @@ func (l *Log) CountRef(st *Stats, update func(*Stats)) {
 
 // CountBatch runs fn under the stats lock. fn may mutate any number of
 // StatsRef records and add to the per-type message counts through the map
-// it receives — one lock round-trip publishes a whole batch of bookkeeping
-// that Count/CountType would pay per message.
+// it receives (the lean-log path keeps MessageTypeCounts accurate this way
+// while skipping per-message events) — one lock round-trip publishes a
+// whole batch of bookkeeping that Count would pay per message.
 func (l *Log) CountBatch(fn func(types map[string]uint64)) {
 	l.mu.Lock()
 	fn(l.byType)

@@ -2,6 +2,8 @@ package inject
 
 import (
 	"bytes"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -13,14 +15,15 @@ import (
 	"attain/internal/telemetry"
 )
 
-// pumpless builds an injector plus a detached session whose outbound
-// channels are drained directly by the test — no goroutines, so buffer
-// ownership and allocation behavior are deterministic.
-func pumpless(t testing.TB, attack *lang.Attack, caps model.CapabilitySet, tweak func(*Config)) (*Injector, *session) {
+// shardedLoopback builds a one-loop injector (not started) plus a session
+// bound to its shard over discard conns, for driving the shard loop inline
+// — no goroutines, so buffer ownership and allocation behavior are
+// deterministic. Tests that read what was delivered swap in a captureConn.
+func shardedLoopback(t testing.TB, attack *lang.Attack, tweak func(*Config)) (*Injector, *shard, *session) {
 	sys := model.Figure3System()
 	conn := model.Conn{Controller: "c1", Switch: "s1"}
 	am := model.NewAttackerModel()
-	am.Grant(conn, caps)
+	am.Grant(conn, model.AllCapabilities)
 	cfg := Config{
 		System: sys, Attacker: am, Attack: attack,
 		Transport: netem.NewMemTransport(), LeanLog: true,
@@ -32,25 +35,73 @@ func pumpless(t testing.TB, attack *lang.Attack, caps model.CapabilitySet, tweak
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := &session{
-		conn:     conn,
-		toSwitch: make(chan []byte, 64),
-		toCtrl:   make(chan []byte, 64),
-		closed:   make(chan struct{}),
-	}
+	sh := inj.shards[0]
+	sess := newSession(conn, discardConn{}, discardConn{}, sh)
 	inj.bindSession(sess)
-	return inj, sess
+	return inj, sh, sess
 }
 
-// drain takes one queued outbound frame and recycles its buffer.
-func drain(t testing.TB, ch chan []byte) []byte {
-	select {
-	case b := <-ch:
-		return b
-	default:
-		t.Fatal("no outbound frame queued")
-		return nil
+// discardConn swallows writes; reads report EOF. It stands in for a peer
+// in benchmarks and alloc tests where only the write side matters.
+type discardConn struct{}
+
+func (discardConn) Read(p []byte) (int, error)  { return 0, io.EOF }
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+func (discardConn) Close() error                { return nil }
+func (discardConn) LocalAddr() net.Addr         { return nil }
+func (discardConn) RemoteAddr() net.Addr        { return nil }
+func (discardConn) SetDeadline(time.Time) error { return nil }
+func (c discardConn) SetReadDeadline(time.Time) error {
+	return nil
+}
+func (discardConn) SetWriteDeadline(time.Time) error { return nil }
+
+// captureConn is a discardConn that keeps the bytes written to it.
+type captureConn struct {
+	discardConn
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (c *captureConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.buf.Write(p)
+}
+
+// pending reports how many delivered bytes next has not consumed.
+func (c *captureConn) pending() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.buf.Len()
+}
+
+// next pops one delivered frame.
+func (c *captureConn) next(t testing.TB) []byte {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	raw, err := openflow.ReadRaw(&c.buf)
+	if err != nil {
+		t.Fatalf("no delivered frame: %v", err)
 	}
+	return raw
+}
+
+// push puts one message event on the shard's intake, as a session reader
+// would. raw is a pooled buffer whose ownership passes to the loop.
+func push(t testing.TB, sh *shard, sess *session, dir lang.Direction, raw []byte) {
+	ev := eventPool.Get().(*event)
+	*ev = event{kind: EventMessage, conn: sess.conn, dir: dir, raw: raw, sess: sess}
+	if !sh.enqueue(ev) {
+		t.Fatal("shard refused event")
+	}
+}
+
+// loop pushes one message and runs one loop iteration inline.
+func loop(t testing.TB, sh *shard, sess *session, dir lang.Direction, raw []byte) {
+	push(t, sh, sess, dir, raw)
+	sh.drainBatch(sh.waitWork())
 }
 
 // TestPassthroughZeroAlloc pins the tentpole invariant: with lean logging
@@ -59,22 +110,18 @@ func drain(t testing.TB, ch chan []byte) []byte {
 // a non-matching payload rule is evaluated against the lazy frame view.
 func TestPassthroughZeroAlloc(t *testing.T) {
 	attack := oneRuleAttack(isType("PACKET_IN"), model.AllCapabilities, lang.DropMessage{})
-	inj, sess := pumpless(t, attack, model.AllCapabilities, nil)
+	inj, sh, sess := shardedLoopback(t, attack, nil)
 	wire, err := openflow.Marshal(7, &openflow.FlowMod{
 		Match: openflow.MatchAll(), BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := &event{kind: EventMessage, conn: sess.conn, dir: lang.SwitchToController, sess: sess}
-	step := func() {
-		buf := append(openflow.GetBuffer(), wire...)
-		ev.raw = buf
-		inj.exec.process(ev)
-		openflow.PutBuffer(drain(t, sess.toCtrl))
-	}
-	step() // warm up stats maps and pool
-	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+	step := func() { loop(t, sh, sess, lang.SwitchToController, append(openflow.GetBuffer(), wire...)) }
+	step() // warm up stats maps, pools, and pending-list capacity
+	// Race mode makes sync.Pool (event recycling) drop items at random, so
+	// only the counters are checked there.
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 && !raceEnabled {
 		t.Fatalf("passthrough allocates: %v allocs/op", allocs)
 	}
 	st := inj.Log().Stats(sess.conn)
@@ -99,7 +146,9 @@ func TestForwardedFramesPreserveXidBytes(t *testing.T) {
 		lang.StoreMessage{Deque: "d"},
 		lang.InjectMessage{Template: "echo_request", Direction: lang.SwitchToController},
 	)
-	inj, sess := pumpless(t, attack, model.AllCapabilities, nil)
+	inj, sh, sess := shardedLoopback(t, attack, nil)
+	ctrl := &captureConn{}
+	sess.ctrlSide = ctrl
 
 	const xid = 0xCAFEBABE
 	wire, err := openflow.Marshal(xid, &openflow.BarrierRequest{})
@@ -111,15 +160,15 @@ func TestForwardedFramesPreserveXidBytes(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		inj.nextMsgID()
 	}
-	ev := &event{kind: EventMessage, conn: sess.conn, dir: lang.SwitchToController, sess: sess,
-		raw: append(openflow.GetBuffer(), wire...)}
-	inj.exec.process(ev)
+	raw := append(openflow.GetBuffer(), wire...)
+	inflight := &raw[0]
+	loop(t, sh, sess, lang.SwitchToController, raw)
 
-	fwd := drain(t, sess.toCtrl)
+	fwd := ctrl.next(t)
 	if !bytes.Equal(fwd, wire) {
 		t.Fatalf("forwarded frame not byte-identical:\n got %x\nwant %x", fwd, wire)
 	}
-	injected := drain(t, sess.toCtrl)
+	injected := ctrl.next(t)
 	ihdr, imsg, err := openflow.Unmarshal(injected)
 	if err != nil {
 		t.Fatal(err)
@@ -131,8 +180,8 @@ func TestForwardedFramesPreserveXidBytes(t *testing.T) {
 		t.Fatalf("first injected xid = %d, want 1 (dedicated counter)", ihdr.Xid)
 	}
 
-	// The stored copy must not alias the recycled original buffer.
-	openflow.PutBuffer(fwd)
+	// The stored copy must not alias the original buffer, which the flush
+	// has recycled.
 	v, err := inj.Storage().Deque("d").Pop()
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +190,7 @@ func TestForwardedFramesPreserveXidBytes(t *testing.T) {
 	if !bytes.Equal(stored.Raw, wire) {
 		t.Fatalf("captured bytes corrupted: %x", stored.Raw)
 	}
-	if &stored.Raw[0] == &ev.raw[0] {
+	if &stored.Raw[0] == inflight {
 		t.Fatal("captured message aliases the in-flight buffer")
 	}
 	if f, ok := stored.View.Frame(); !ok || f.Xid() != xid {
@@ -149,11 +198,9 @@ func TestForwardedFramesPreserveXidBytes(t *testing.T) {
 	}
 
 	// A second injection continues the dedicated sequence.
-	ev2 := &event{kind: EventMessage, conn: sess.conn, dir: lang.SwitchToController, sess: sess,
-		raw: append(openflow.GetBuffer(), wire...)}
-	inj.exec.process(ev2)
-	openflow.PutBuffer(drain(t, sess.toCtrl))
-	ihdr2, _, err := openflow.Unmarshal(drain(t, sess.toCtrl))
+	loop(t, sh, sess, lang.SwitchToController, append(openflow.GetBuffer(), wire...))
+	ctrl.next(t)
+	ihdr2, _, err := openflow.Unmarshal(ctrl.next(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +234,9 @@ func TestPassthroughMaterializedCounters(t *testing.T) {
 }
 
 // TestConcurrentSessionsPooledPath hammers two proxied connections from
-// both directions at once, exercising the pooled read buffers, pooled
-// events, and write-pump recycling under the race detector (make race).
+// both directions at once over the synchronous in-memory transport,
+// exercising the pooled read buffers, pooled events, and flush recycling
+// under the race detector (make race).
 func TestConcurrentSessionsPooledPath(t *testing.T) {
 	attack := oneRuleAttack(isType("PACKET_IN"), model.AllCapabilities, lang.DuplicateMessage{})
 	h := newHarness(t, attack, model.AllCapabilities)

@@ -12,9 +12,9 @@ import (
 	"attain/internal/telemetry"
 )
 
-// defaultBatch bounds how many events one shard loop iteration processes
-// between flushes when Config.Batch is unset.
-const defaultBatch = 256
+// batchSize bounds how many events one shard loop iteration processes
+// between flushes.
+const batchSize = 256
 
 // flushChunk caps how many coalesced bytes one vectored flush writes per
 // Conn.Write call, bounding the shard's persistent flush buffer.
@@ -25,7 +25,7 @@ const flushChunk = evloop.DefaultFlushChunk
 // delays, fabric injections). It never appears in the log.
 const eventWrite EventKind = 100
 
-// shard is one batch-draining event loop of the sharded injector core.
+// shard is one batch-draining event loop of the injector core.
 //
 // Sessions are bound to a shard at accept time; the shard's single loop
 // goroutine then owns those sessions' outbound conns and all mutable
@@ -34,11 +34,10 @@ const eventWrite EventKind = 100
 // touch points are the intake queue and the σ/Δ StateStore, which is
 // shared by design (attack state is global, §VIII-C).
 //
-// Compared with the per-session pump path (2 reader + 2 writer goroutines
-// and 2 channel hops per message), a shard wakes up once, drains every
-// queued event in one pass, and writes each touched session's frames with
-// one coalesced Conn.Write per direction — the per-message scheduler
-// handoffs that dominate the pump design are amortized over the batch.
+// A shard wakes up once, drains every queued event in one pass, and writes
+// each touched session's frames with one coalesced Conn.Write per
+// direction, so per-message scheduler handoffs are amortized over the
+// batch.
 //
 // The queue-and-swap machinery lives in internal/evloop (shared with the
 // shard-hosted switch simulator); this file keeps only the injector's
@@ -72,7 +71,7 @@ type shard struct {
 	batchSz *telemetry.Histogram
 }
 
-func newShard(inj *Injector, id int, store StateStore) *shard {
+func newShard(inj *Injector, id int) *shard {
 	sh := &shard{
 		inj: inj,
 		id:  id,
@@ -88,7 +87,7 @@ func newShard(inj *Injector, id int, store StateStore) *shard {
 		batchSz: inj.tele.Histogram(fmt.Sprintf("injector.shard.%d.batch_size", id)),
 	}
 	sh.counted = make([]*session, 0, 64)
-	sh.exec = newExecutor(inj, store, shardSeed(inj.cfg.StochasticSeed, id), sh)
+	sh.exec = newExecutor(inj, shardSeed(inj.cfg.StochasticSeed, id), sh)
 	sh.bookFn = func(types map[string]uint64) {
 		for _, sess := range sh.counted {
 			sess.stats.Seen += sess.batchSeen
@@ -111,9 +110,9 @@ func (sh *shard) noteSeen(sess *session) {
 }
 
 // flushBook publishes the batch's accumulated Seen and per-type message
-// counts in one log lock round-trip — bookkeeping the pump path pays per
-// message, amortized over the batch here. Counts become externally visible
-// at batch boundaries, matching the Delivered-at-flush semantics.
+// counts in one log lock round-trip instead of one per message. Counts
+// become externally visible at batch boundaries, matching the
+// Delivered-at-flush semantics.
 func (sh *shard) flushBook() {
 	if len(sh.counted) == 0 && len(sh.exec.typeCounts) == 0 {
 		return
@@ -124,10 +123,10 @@ func (sh *shard) flushBook() {
 }
 
 // shardSeed derives shard i's RNG seed. Shard 0 keeps the configured seed
-// unchanged so a one-shard run draws the exact sequence the legacy
-// single-executor path would — stochastic attacks stay bit-reproducible
-// across the two cores. Higher shards mix in their index (splitmix64
-// finalizer) so they draw independent sequences.
+// unchanged, so a one-loop run draws rand.NewSource(StochasticSeed)'s
+// sequence directly (testdata/delivered_streams.golden pins it). Higher
+// shards mix in their index (splitmix64 finalizer) so they draw
+// independent sequences.
 func shardSeed(seed int64, i int) int64 {
 	if i == 0 {
 		return seed
@@ -141,15 +140,12 @@ func shardSeed(seed int64, i int) int64 {
 	return int64(z)
 }
 
-// shardFor maps a control-plane connection to its owning shard (nil in
-// pump mode). The assignment hashes the connection identity seeded by
-// StochasticSeed, so it is deterministic for a given config — rerunning an
-// experiment lands every session on the same shard — while different seeds
-// explore different placements.
+// shardFor maps a control-plane connection to its owning shard. The
+// assignment hashes the connection identity seeded by StochasticSeed, so it
+// is deterministic for a given config — rerunning an experiment lands every
+// session on the same shard — while different seeds explore different
+// placements.
 func (inj *Injector) shardFor(conn model.Conn) *shard {
-	if !inj.Sharded() {
-		return nil
-	}
 	h := uint64(inj.cfg.StochasticSeed) ^ 0x9E3779B97F4A7C15
 	for _, s := range [2]string{string(conn.Controller), string(conn.Switch)} {
 		for i := 0; i < len(s); i++ {
@@ -166,9 +162,9 @@ func (inj *Injector) shardFor(conn model.Conn) *shard {
 }
 
 // enqueue hands an inbound message event to the shard, blocking while the
-// queue is at capacity (backpressure toward the reading session, the role
-// the bounded events channel plays in pump mode). It reports false once
-// the shard has stopped; the caller keeps ownership of ev and its buffer.
+// queue is at capacity (backpressure toward the reading session). It
+// reports false once the shard has stopped; the caller keeps ownership of
+// ev and its buffer.
 func (sh *shard) enqueue(ev *event) bool {
 	return sh.q.Push(ev)
 }
@@ -224,20 +220,17 @@ func (sh *shard) waitWork() []*event {
 
 // drainBatch processes one queue swap's worth of events: executor
 // processing for messages, pending-list appends for writes, then one
-// vectored flush per touched session per Batch-sized chunk. Barrier done
-// channels close only after the flush that covers their batch, so a
-// Barrier observer sees every prior frame on the wire.
+// coalesced flush per touched session per batchSize chunk.
 func (sh *shard) drainBatch(events []*event) {
-	max := sh.inj.cfg.Batch
 	for len(events) > 0 {
 		n := len(events)
-		if n > max {
-			n = max
+		if n > batchSize {
+			n = batchSize
 		}
 		chunk := events[:n]
 		events = events[n:]
 		// One clock read covers the whole chunk: view timestamps and
-		// verdict events quantize to batch boundaries (executor.now).
+		// verdict events quantize to batch boundaries.
 		sh.exec.batchNow = sh.inj.clk.Now()
 		msgs := 0
 		for _, ev := range chunk {
@@ -253,13 +246,7 @@ func (sh *shard) drainBatch(events []*event) {
 			}
 			ev.recycle()
 		}
-		sh.flushAll()
-		sh.flushBook()
-		for i, done := range sh.dones {
-			close(done)
-			sh.dones[i] = nil
-		}
-		sh.dones = sh.dones[:0]
+		sh.publish()
 		sh.batchSz.Observe(int64(n))
 		sh.batches.Inc()
 		if msgs > 0 {
@@ -273,6 +260,22 @@ func (sh *shard) drainBatch(events []*event) {
 	}
 }
 
+// publish makes everything processed so far externally visible: Seen/type
+// counts in the log, then pending frames on the wire, and only then the
+// barrier done channels closed, so a Barrier observer sees every prior
+// frame delivered. Counts go first so a peer that has read a frame never
+// finds the log behind it. It ends every chunk and precedes every blocking
+// sleep (executor.block).
+func (sh *shard) publish() {
+	sh.flushBook()
+	sh.flushAll()
+	for i, done := range sh.dones {
+		close(done)
+		sh.dones[i] = nil
+	}
+	sh.dones = sh.dones[:0]
+}
+
 // queueLocal appends an outbound frame to its session's pending list for
 // the batch-end flush. Loop-goroutine only. Ownership of raw transfers
 // here: frames for a closed session are recycled and counted as drops.
@@ -280,9 +283,7 @@ func (sh *shard) queueLocal(sess *session, dir lang.Direction, raw []byte) {
 	select {
 	case <-sess.closed:
 		openflow.PutBuffer(raw)
-		if sess.onDrop != nil {
-			sess.onDrop(1)
-		}
+		sh.countDrops(sess, 1)
 		return
 	default:
 	}
@@ -315,27 +316,33 @@ func (sh *shard) flushAll() {
 // them with as few Conn.Write calls as flushChunk allows — usually one.
 // Every frame buffer is recycled regardless of outcome; on a write error
 // the session is closed and the unwritten tail counted as drops.
-// Delivered is counted once per flush instead of once per frame, which is
-// where the pump path spent its per-message mutex hits.
+// Delivered is counted once per flush instead of once per frame, and ahead
+// of the write (a peer that has read a frame must find it counted), with
+// the unwritten tail taken back out on failure.
 func (sh *shard) flushDir(sess *session, dst net.Conn, frames [][]byte) {
 	if len(frames) == 0 {
 		return
 	}
+	n := uint64(len(frames))
+	sh.inj.log.CountRef(sess.stats, func(s *Stats) { s.Delivered += n })
 	written, werr := sh.out.Flush(dst, frames, openflow.PutBuffer)
-	if written > 0 {
-		n := uint64(written)
-		if sess.stats != nil {
-			sh.inj.log.CountRef(sess.stats, func(s *Stats) { s.Delivered += n })
-		} else {
-			sh.inj.log.Count(sess.conn, func(s *Stats) { s.Delivered += n })
-		}
-	}
 	if werr != nil {
 		sess.close()
-		if dropped := len(frames) - written; dropped > 0 && sess.onDrop != nil {
-			sess.onDrop(dropped)
-		}
+		lost := len(frames) - written
+		sh.inj.log.CountRef(sess.stats, func(s *Stats) { s.Delivered -= uint64(lost) })
+		sh.countDrops(sess, lost)
 	}
+}
+
+// countDrops records n outbound frames recycled unsent (a closed session,
+// a failed flush, or the shutdown drain), so drops stay visible in the
+// counters.
+func (sh *shard) countDrops(sess *session, n int) {
+	if n <= 0 {
+		return
+	}
+	sess.ctrs.dropped.Add(uint64(n))
+	sh.inj.log.CountRef(sess.stats, func(s *Stats) { s.Dropped += uint64(n) })
 }
 
 // drainShutdown runs when the loop exits: mark the shard stopped, release
@@ -348,9 +355,7 @@ func (sh *shard) drainShutdown() {
 			openflow.PutBuffer(ev.raw)
 		case eventWrite:
 			openflow.PutBuffer(ev.raw)
-			if ev.sess != nil && ev.sess.onDrop != nil {
-				ev.sess.onDrop(1)
-			}
+			sh.countDrops(ev.sess, 1)
 		}
 		if ev.done != nil {
 			close(ev.done)
@@ -367,9 +372,7 @@ func (sh *shard) drainShutdown() {
 		}
 		sess.pendSwitch, sess.pendCtrl = sess.pendSwitch[:0], sess.pendCtrl[:0]
 		sess.pendQueued = false
-		if dropped > 0 && sess.onDrop != nil {
-			sess.onDrop(dropped)
-		}
+		sh.countDrops(sess, dropped)
 		sh.touched[i] = nil
 	}
 	sh.touched = sh.touched[:0]
@@ -392,7 +395,7 @@ func (sh *shard) observeImbalance() {
 			max = p
 		}
 	}
-	if max > 2*min+uint64(sh.inj.cfg.Batch) {
+	if max > 2*min+batchSize {
 		sh.inj.imbalance.Inc()
 	}
 }

@@ -1,21 +1,28 @@
 package inject
 
 import (
+	"bytes"
+	"encoding/hex"
+	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"attain/internal/clock"
 	"attain/internal/core/lang"
 	"attain/internal/core/model"
 	"attain/internal/netem"
 	"attain/internal/openflow"
+	"attain/internal/telemetry"
 )
 
-// shardedHarness builds a harness over buffered conns with the sharded
-// core enabled.
+// shardedHarness builds a harness over buffered conns with the given number
+// of shard loops.
 func shardedHarness(t *testing.T, attack *lang.Attack, caps model.CapabilitySet, shards int, tweak func(*Config)) *harness {
 	t.Helper()
 	return newHarnessTr(t, attack, caps, netem.NewBufferedMemTransport(0), func(cfg *Config) {
@@ -28,9 +35,6 @@ func shardedHarness(t *testing.T, attack *lang.Attack, caps model.CapabilitySet,
 
 func TestShardedPassthroughAndStats(t *testing.T) {
 	h := shardedHarness(t, trivialAttack(), model.AllCapabilities, 2, nil)
-	if !h.inj.Sharded() {
-		t.Fatal("injector not sharded")
-	}
 	h.sw.send(t, 1, &openflow.Hello{})
 	if hd, _ := h.ctrl.expect(t); hd.Type != openflow.TypeHello {
 		t.Errorf("controller got %s", hd.Type)
@@ -80,7 +84,7 @@ func TestShardedScopedDropAndCounters(t *testing.T) {
 func TestShardAssignmentDeterministic(t *testing.T) {
 	attack := trivialAttack()
 	mk := func(seed int64) *Injector {
-		inj, _ := pumpless(t, attack, model.AllCapabilities, func(cfg *Config) {
+		inj, _, _ := shardedLoopback(t, attack, func(cfg *Config) {
 			cfg.Shards = 4
 			cfg.StochasticSeed = seed
 		})
@@ -101,7 +105,7 @@ func TestShardAssignmentDeterministic(t *testing.T) {
 	if len(used) < 2 {
 		t.Errorf("32 conns all hashed to %d shard(s)", len(used))
 	}
-	// Shard 0 draws the exact RNG sequence of the legacy single executor.
+	// Shard 0 draws rand.NewSource(seed)'s sequence, as one loop does.
 	if shardSeed(777, 0) != 777 {
 		t.Error("shardSeed(seed, 0) must be the identity")
 	}
@@ -110,71 +114,104 @@ func TestShardAssignmentDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedDeterminismMatchesPumpPath pins the headline reproducibility
-// claim: for the same stochastic seed, the sharded core and the legacy
-// pump path make the identical per-message verdict sequence — the same
-// messages dropped, the same subset delivered in the same order.
-func TestShardedDeterminismMatchesPumpPath(t *testing.T) {
-	run := func(shards int) []uint32 {
-		a := lang.NewAttack("stochastic", "s0")
-		a.AddState(&lang.State{
-			Name: "s0",
-			Rules: []*lang.Rule{{
-				Name:    "coinflip",
-				Conns:   []model.Conn{{Controller: "c1", Switch: "s1"}},
-				Caps:    model.AllCapabilities,
-				Cond:    isType("ECHO_REQUEST"),
-				Prob:    0.5,
-				Actions: []lang.Action{lang.DropMessage{}},
-			}},
+// deliveredStreams runs the fixed two-connection scenario behind
+// testdata/delivered_streams.golden and returns, per connection and
+// direction, the exact bytes the injector delivered.
+//
+// (c1,s2) carries 150 ECHO_REQUESTs under a seeded coin-flip drop; seed 42
+// places it on shard 0 at every shard count, the shard that keeps the
+// configured seed (see shardSeed), so its verdict sequence is the one the
+// paper's single executor draws. (c1,s1) carries FLOW_MODs under a
+// deterministic priority rewrite, interleaved with untouched echoes, and
+// lands on shard 1 once there are several: its stream must not depend on
+// which loop served it.
+func deliveredStreams(t *testing.T, shards int) []byte {
+	t.Helper()
+	s1 := model.Conn{Controller: "c1", Switch: "s1"}
+	s2 := model.Conn{Controller: "c1", Switch: "s2"}
+	a := lang.NewAttack("stream-golden", "s0")
+	a.AddState(&lang.State{
+		Name: "s0",
+		Rules: []*lang.Rule{{
+			Name:    "coinflip",
+			Conns:   []model.Conn{s2},
+			Caps:    model.AllCapabilities,
+			Cond:    isType("ECHO_REQUEST"),
+			Prob:    0.5,
+			Actions: []lang.Action{lang.DropMessage{}},
+		}, {
+			Name:    "reprio",
+			Conns:   []model.Conn{s1},
+			Caps:    model.AllCapabilities,
+			Cond:    isType("FLOW_MOD"),
+			Actions: []lang.Action{lang.ModifyField{Field: lang.PropFMPriority, Value: lang.Lit{Value: int64(9)}}},
+		}},
+	})
+	h := newHarnessTr(t, a, model.AllCapabilities, netem.NewBufferedMemTransport(0), func(cfg *Config) {
+		cfg.Shards = shards
+		cfg.StochasticSeed = 42
+	})
+	sw2, ctrl2 := h.openSecondConn(t)
+
+	const echoes, mods = 150, 40
+	for i := 0; i < echoes; i++ {
+		sw2.send(t, uint32(i+1), &openflow.EchoRequest{})
+	}
+	for i := 0; i < mods; i++ {
+		h.ctrl.send(t, uint32(1000+i), &openflow.FlowMod{
+			Match: openflow.MatchAll(), Priority: uint16(100 + i),
+			BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
 		})
-		h := newHarnessTr(t, a, model.AllCapabilities, netem.NewBufferedMemTransport(0), func(cfg *Config) {
-			cfg.Shards = shards
-			cfg.StochasticSeed = 42
-		})
-		const n = 150
-		for i := 0; i < n; i++ {
-			h.sw.send(t, uint32(i+1), &openflow.EchoRequest{})
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) && h.inj.Log().Stats(h.conn).Seen < n {
-			time.Sleep(2 * time.Millisecond)
-		}
-		h.inj.Barrier()
-		st := h.inj.Log().Stats(h.conn)
-		if st.Seen != n {
-			t.Fatalf("shards=%d: seen = %d, want %d", shards, st.Seen, n)
-		}
-		if st.Dropped == 0 || st.Dropped == n {
-			t.Fatalf("shards=%d: dropped = %d, want a strict subset", shards, st.Dropped)
-		}
-		xids := make([]uint32, 0, n)
-		for uint64(len(xids)) < n-st.Dropped {
+		h.ctrl.send(t, uint32(2000+i), &openflow.EchoRequest{Data: []byte{byte(i)}})
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) &&
+		(h.inj.Log().Stats(s2).Seen < echoes || h.inj.Log().Stats(s1).Seen < 2*mods) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	h.inj.Barrier()
+	st := h.inj.Log().Stats(s2)
+	if st.Seen != echoes || h.inj.Log().Stats(s1).Seen != 2*mods {
+		t.Fatalf("shards=%d: seen %d and %d, want %d and %d",
+			shards, st.Seen, h.inj.Log().Stats(s1).Seen, echoes, 2*mods)
+	}
+	if st.Dropped == 0 || st.Dropped == echoes {
+		t.Fatalf("shards=%d: dropped = %d, want a strict subset", shards, st.Dropped)
+	}
+	collect := func(p *fakePeer, frames int) string {
+		var stream []byte
+		for i := 0; i < frames; i++ {
 			select {
-			case raw, ok := <-h.ctrl.got:
+			case raw, ok := <-p.got:
 				if !ok {
-					t.Fatalf("shards=%d: controller closed early", shards)
+					t.Fatalf("shards=%d: peer closed after %d of %d frames", shards, i, frames)
 				}
-				hd, _, err := openflow.Unmarshal(raw)
-				if err != nil {
-					t.Fatal(err)
-				}
-				xids = append(xids, hd.Xid)
+				stream = append(stream, raw...)
 			case <-time.After(5 * time.Second):
-				t.Fatalf("shards=%d: got %d of %d survivors", shards, len(xids), n-st.Dropped)
+				t.Fatalf("shards=%d: got %d of %d frames", shards, i, frames)
 			}
 		}
-		return xids
+		return hex.EncodeToString(stream)
 	}
+	var out bytes.Buffer
+	fmt.Fprintf(&out, "%s %s %s\n", s1, lang.ControllerToSwitch, collect(h.sw, 2*mods))
+	fmt.Fprintf(&out, "%s %s %s\n", s2, lang.SwitchToController, collect(ctrl2, echoes-int(st.Dropped)))
+	return out.Bytes()
+}
 
-	pump := run(0)
-	sharded := run(1)
-	if len(pump) != len(sharded) {
-		t.Fatalf("survivor counts differ: pump %d, sharded %d", len(pump), len(sharded))
+// TestShardedDeterminismMatchesPumpPath pins what the deleted pump core
+// delivered: testdata/delivered_streams.golden was recorded from the
+// goroutine-per-session path (Shards=0 at the commit before its removal),
+// and every shard count must put the same bytes on every connection.
+func TestShardedDeterminismMatchesPumpPath(t *testing.T) {
+	golden := filepath.Join("testdata", "delivered_streams.golden")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range pump {
-		if pump[i] != sharded[i] {
-			t.Fatalf("verdict sequences diverge at %d: pump xid %d, sharded xid %d", i, pump[i], sharded[i])
+	for _, shards := range []int{1, 4} {
+		if got := deliveredStreams(t, shards); !bytes.Equal(got, want) {
+			t.Errorf("shards=%d: delivered streams differ from %s:\ngot:\n%s\nwant:\n%s", shards, golden, got, want)
 		}
 	}
 }
@@ -236,37 +273,6 @@ func TestShardedConcurrentSessions(t *testing.T) {
 	}
 }
 
-// discardConn swallows writes; reads report EOF. It stands in for a peer
-// in benchmarks and alloc tests where only the write side matters.
-type discardConn struct{}
-
-func (discardConn) Read(p []byte) (int, error)  { return 0, io.EOF }
-func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
-func (discardConn) Close() error                { return nil }
-func (discardConn) LocalAddr() net.Addr         { return nil }
-func (discardConn) RemoteAddr() net.Addr        { return nil }
-func (discardConn) SetDeadline(time.Time) error { return nil }
-func (c discardConn) SetReadDeadline(time.Time) error {
-	return nil
-}
-func (discardConn) SetWriteDeadline(time.Time) error { return nil }
-
-// shardedLoopback builds a sharded injector (not started) plus a session
-// bound to shard 0 over discard conns, for driving the shard loop inline.
-func shardedLoopback(t testing.TB, attack *lang.Attack) (*Injector, *shard, *session) {
-	inj, _ := pumpless(t, attack, model.AllCapabilities, func(cfg *Config) { cfg.Shards = 1 })
-	sh := inj.shards[0]
-	sess := &session{
-		conn:       model.Conn{Controller: "c1", Switch: "s1"},
-		switchSide: discardConn{},
-		ctrlSide:   discardConn{},
-		closed:     make(chan struct{}),
-		sh:         sh,
-	}
-	inj.bindSession(sess)
-	return inj, sh, sess
-}
-
 // TestShardedBatchZeroAlloc pins the sharded steady state at zero heap
 // allocations per message: enqueue, batch drain, rule evaluation against
 // the lazy frame view, and the coalesced flush all run on pooled or
@@ -276,7 +282,7 @@ func TestShardedBatchZeroAlloc(t *testing.T) {
 		t.Skip("race mode makes sync.Pool (event recycling) drop items at random")
 	}
 	attack := oneRuleAttack(isType("PACKET_IN"), model.AllCapabilities, lang.DropMessage{})
-	_, sh, sess := shardedLoopback(t, attack)
+	_, sh, sess := shardedLoopback(t, attack, nil)
 	wire, err := openflow.Marshal(7, &openflow.FlowMod{
 		Match: openflow.MatchAll(), BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
 	})
@@ -285,11 +291,7 @@ func TestShardedBatchZeroAlloc(t *testing.T) {
 	}
 	step := func() {
 		for i := 0; i < 16; i++ {
-			ev := eventPool.Get().(*event)
-			*ev = event{kind: EventMessage, conn: sess.conn, dir: lang.SwitchToController, raw: append(openflow.GetBuffer(), wire...), sess: sess}
-			if !sh.enqueue(ev) {
-				t.Fatal("shard refused event")
-			}
+			push(t, sh, sess, lang.SwitchToController, append(openflow.GetBuffer(), wire...))
 		}
 		sh.drainBatch(sh.waitWork())
 	}
@@ -299,73 +301,53 @@ func TestShardedBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPumpShutdownRecyclesQueuedFrames pins the pump-mode shutdown fix:
-// frames still queued behind a blocked write pump are returned to the
-// buffer pool and surface in the drop counter instead of leaking silently.
-func TestPumpShutdownRecyclesQueuedFrames(t *testing.T) {
-	bs := &blockConn{closed: make(chan struct{})}
-	bc := &blockConn{closed: make(chan struct{})}
-	sess := newSession(model.Conn{Controller: "c1", Switch: "s1"}, bs, bc, nil)
-	var drops atomic.Int64
-	sess.onDrop = func(n int) { drops.Add(int64(n)) }
-	for i := 0; i < 4; i++ {
-		buf := append(openflow.GetBuffer(), make([]byte, 16)...)
-		if err := sess.write(lang.SwitchToController, buf); err != nil {
+// TestShutdownRecyclesQueuedFrames pins the loop's shutdown hygiene: frames
+// still queued for delivery (write events in the intake) or pending a
+// flush when the loop exits are returned to the buffer pool and surface in
+// the drop counters instead of leaking silently.
+func TestShutdownRecyclesQueuedFrames(t *testing.T) {
+	tele := telemetry.New(telemetry.Options{})
+	inj, sh, sess := shardedLoopback(t, trivialAttack(), func(cfg *Config) { cfg.Telemetry = tele })
+	frame := func() []byte { return append(openflow.GetBuffer(), make([]byte, 16)...) }
+	// Three frames wait in the intake behind the loop, two more sit on the
+	// session's pending lists, one per direction.
+	for i := 0; i < 3; i++ {
+		if err := sh.enqueueWrite(sess, lang.SwitchToController, frame()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Wait until the pump holds one frame blocked in Write, leaving three
-	// queued, so the expected drop count is exact.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && len(sess.toCtrl) != 3 {
-		time.Sleep(time.Millisecond)
+	sh.queueLocal(sess, lang.SwitchToController, frame())
+	sh.queueLocal(sess, lang.ControllerToSwitch, frame())
+
+	sh.drainShutdown()
+
+	if n := sh.q.Len(); n != 0 || !sh.q.Stopped() {
+		t.Errorf("intake after shutdown: len=%d stopped=%v", n, sh.q.Stopped())
 	}
-	if q := len(sess.toCtrl); q != 3 {
-		t.Fatalf("queued = %d, want 3", q)
+	if len(sh.touched) != 0 || len(sess.pendCtrl) != 0 || len(sess.pendSwitch) != 0 || sess.pendQueued {
+		t.Errorf("pending after shutdown: touched=%d ctrl=%d switch=%d queued=%v",
+			len(sh.touched), len(sess.pendCtrl), len(sess.pendSwitch), sess.pendQueued)
 	}
-	sess.close()
-	for time.Now().Before(deadline) && drops.Load() != 3 {
-		time.Sleep(time.Millisecond)
+	if got := inj.Log().Stats(sess.conn).Dropped; got != 5 {
+		t.Errorf("Stats.Dropped = %d, want 5", got)
 	}
-	if got := drops.Load(); got != 3 {
-		t.Fatalf("dropped = %d, want 3", got)
+	if got := tele.Registry().Snapshot()["injector.c1:s1.dropped"]; got != 5 {
+		t.Errorf("injector.c1:s1.dropped = %d, want 5", got)
 	}
+	// A stopped shard refuses further writes; the caller keeps the buffer.
+	late := frame()
+	if err := sh.enqueueWrite(sess, lang.SwitchToController, late); err == nil {
+		t.Error("enqueueWrite succeeded after shutdown")
+	}
+	openflow.PutBuffer(late)
 }
-
-// blockConn blocks Write (and Read) until Close, then fails them — a peer
-// that never drains, forcing frames to pile up behind the write pump.
-type blockConn struct {
-	closed chan struct{}
-	once   sync.Once
-}
-
-func (c *blockConn) Read(p []byte) (int, error) {
-	<-c.closed
-	return 0, io.EOF
-}
-
-func (c *blockConn) Write(p []byte) (int, error) {
-	<-c.closed
-	return 0, io.ErrClosedPipe
-}
-
-func (c *blockConn) Close() error {
-	c.once.Do(func() { close(c.closed) })
-	return nil
-}
-
-func (c *blockConn) LocalAddr() net.Addr              { return nil }
-func (c *blockConn) RemoteAddr() net.Addr             { return nil }
-func (c *blockConn) SetDeadline(time.Time) error      { return nil }
-func (c *blockConn) SetReadDeadline(time.Time) error  { return nil }
-func (c *blockConn) SetWriteDeadline(time.Time) error { return nil }
 
 // BenchmarkInjectorShardedBatch measures the sharded core's per-message
 // cost: enqueue into the intake queue, batch drain through the executor,
 // and the coalesced flush, in Batch-sized chunks as the loop runs them.
 func BenchmarkInjectorShardedBatch(b *testing.B) {
 	attack := oneRuleAttack(isType("PACKET_IN"), model.AllCapabilities, lang.DropMessage{})
-	_, sh, sess := shardedLoopback(b, attack)
+	_, sh, sess := shardedLoopback(b, attack, nil)
 	wire := benchWire(b)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(wire)))
@@ -377,11 +359,227 @@ func BenchmarkInjectorShardedBatch(b *testing.B) {
 			n = b.N - done
 		}
 		for j := 0; j < n; j++ {
-			ev := eventPool.Get().(*event)
-			*ev = event{kind: EventMessage, conn: sess.conn, dir: lang.SwitchToController, raw: append(openflow.GetBuffer(), wire...), sess: sess}
-			sh.enqueue(ev)
+			push(b, sh, sess, lang.SwitchToController, append(openflow.GetBuffer(), wire...))
 		}
 		sh.drainBatch(sh.waitWork())
 		done += n
+	}
+}
+
+// TestBlockingSleepDeliversEarlierMessagesFirst pins Algorithm 1's
+// per-message delivery inside a batch: when message B of a chunk blocks the
+// loop (DELAYMESSAGE or SLEEP), message A before it is already on the wire
+// while the loop sleeps, and message C after it is stamped with the time
+// after the sleep, not the chunk's stale first reading.
+func TestBlockingSleepDeliversEarlierMessagesFirst(t *testing.T) {
+	const d = 100 * time.Millisecond
+	for name, act := range map[string]lang.Action{
+		"delay": lang.DelayMessage{D: d},
+		"sleep": lang.Sleep{D: d},
+	} {
+		t.Run(name, func(t *testing.T) {
+			start := time.Unix(1000, 0)
+			mock := clock.NewMock(start)
+			attack := oneRuleAttack(isType("BARRIER_REQUEST"), model.AllCapabilities, act)
+			inj, sh, sess := shardedLoopback(t, attack, func(cfg *Config) {
+				cfg.Clock = mock
+				cfg.LeanLog = false
+			})
+			ctrl := &captureConn{}
+			sess.ctrlSide = ctrl
+
+			msgs := []openflow.Message{&openflow.EchoRequest{}, &openflow.BarrierRequest{}, &openflow.EchoReply{}}
+			for i, msg := range msgs {
+				raw, err := openflow.AppendMessage(openflow.GetBuffer(), uint32(i+1), msg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				push(t, sh, sess, lang.SwitchToController, raw)
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				sh.drainBatch(sh.waitWork())
+			}()
+
+			deadline := time.Now().Add(5 * time.Second)
+			for mock.Waiters() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("loop never blocked on the clock")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			// The loop is asleep on B and the clock has not moved: A must
+			// already have been written, and nothing after it.
+			if hd, _, err := openflow.Unmarshal(ctrl.next(t)); err != nil || hd.Xid != 1 {
+				t.Fatalf("first frame on the wire: xid=%d err=%v, want A (xid 1)", hd.Xid, err)
+			}
+			if n := ctrl.pending(); n != 0 {
+				t.Fatalf("%d more bytes on the wire while the loop sleeps on B", n)
+			}
+			if got := inj.Log().Stats(sess.conn); got.Seen < 1 || got.Delivered != 1 {
+				t.Fatalf("stats while asleep = %+v, want A seen and delivered", got)
+			}
+
+			mock.Advance(d)
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("loop never woke")
+			}
+			for _, want := range []uint32{2, 3} {
+				if hd, _, err := openflow.Unmarshal(ctrl.next(t)); err != nil || hd.Xid != want {
+					t.Fatalf("after the sleep: xid=%d err=%v, want %d", hd.Xid, err, want)
+				}
+			}
+			var stamps []time.Time
+			for _, e := range inj.Log().Events(EventMessage) {
+				stamps = append(stamps, e.At)
+			}
+			want := []time.Time{start, start, start.Add(d)}
+			if len(stamps) != len(want) {
+				t.Fatalf("logged %d message events, want %d", len(stamps), len(want))
+			}
+			for i := range want {
+				if !stamps[i].Equal(want[i]) {
+					t.Errorf("message %d stamped %v, want %v", i+1, stamps[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// waitGoroutines polls until the process is back to at most want
+// goroutines; exits lag the calls that cause them.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines, want at most %d:\n%s", runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestStopLeavesNothingBehind stops an injector under load: 64 sessions
+// pushing traffic both ways when Stop lands. Afterwards every goroutine the
+// injector started is gone, no loop still holds a pooled buffer (intake and
+// pending lists empty), and every frame a loop processed was either
+// delivered or counted as dropped.
+func TestStopLeavesNothingBehind(t *testing.T) {
+	before := runtime.NumGoroutine()
+	const sessions = 64
+	sys := model.Figure3System()
+	sys.Switches = sys.Switches[:0]
+	sys.ControlPlane = sys.ControlPlane[:0]
+	for i := 0; i < sessions; i++ {
+		id := model.NodeID(fmt.Sprintf("s%d", i+1))
+		sys.Switches = append(sys.Switches, model.Switch{ID: id, DPID: uint64(i + 1), Ports: []uint16{1}})
+		sys.ControlPlane = append(sys.ControlPlane, model.Conn{Controller: "c1", Switch: id})
+	}
+	tr := netem.NewBufferedMemTransport(0)
+	inj, err := New(Config{
+		System: sys, Attack: trivialAttack(), Transport: tr,
+		Shards: 4, LeanLog: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := tr.Listen("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := openflow.Marshal(1, &openflow.EchoRequest{Data: []byte("load")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each peer writes a paced stream until its conn dies (unpaced, 128
+	// writers starve one another's sessions of intake slots) and reads and
+	// discards whatever the other side sends.
+	var peers sync.WaitGroup
+	peer := func(c net.Conn) {
+		peers.Add(2)
+		go func() {
+			defer peers.Done()
+			_, _ = io.Copy(io.Discard, c)
+		}()
+		go func() {
+			defer peers.Done()
+			defer c.Close()
+			for {
+				if _, err := c.Write(wire); err != nil {
+					return
+				}
+				time.Sleep(20 * time.Microsecond)
+			}
+		}()
+	}
+	peers.Add(1)
+	go func() {
+		defer peers.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			peer(c)
+		}
+	}()
+	if err := inj.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for _, conn := range sys.ControlPlane {
+		c, err := tr.Dial(inj.ProxyAddrFor(conn))
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer(c)
+	}
+
+	// Stop lands once every session has traffic behind it.
+	busy := func() (n int) {
+		for _, conn := range sys.ControlPlane {
+			if inj.Log().Stats(conn).Seen >= 100 {
+				n++
+			}
+		}
+		return n
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for busy() < sessions {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d sessions carried traffic", busy(), sessions)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	inj.mu.Lock()
+	live := make([]*session, 0, len(inj.sessions))
+	for _, s := range inj.sessions {
+		live = append(live, s)
+	}
+	inj.mu.Unlock()
+	if len(live) != sessions {
+		t.Fatalf("%d live sessions, want %d", len(live), sessions)
+	}
+
+	inj.Stop()
+	_ = ln.Close()
+	peers.Wait()
+	waitGoroutines(t, before)
+
+	for _, sh := range inj.shards {
+		if n := sh.q.Len(); n != 0 || !sh.q.Stopped() || len(sh.touched) != 0 {
+			t.Errorf("shard %d after Stop: intake=%d stopped=%v touched=%d", sh.id, n, sh.q.Stopped(), len(sh.touched))
+		}
+	}
+	for _, s := range live {
+		if len(s.pendCtrl) != 0 || len(s.pendSwitch) != 0 {
+			t.Errorf("%s after Stop: %d+%d frames still pending", s.conn, len(s.pendCtrl), len(s.pendSwitch))
+		}
+		if st := inj.Log().Stats(s.conn); st.Seen == 0 || st.Seen != st.Delivered+st.Dropped {
+			t.Errorf("%s after Stop: seen %d != delivered %d + dropped %d", s.conn, st.Seen, st.Delivered, st.Dropped)
+		}
 	}
 }

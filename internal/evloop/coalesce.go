@@ -9,6 +9,8 @@ const DefaultFlushChunk = 256 << 10
 // Coalescer batches a pending-frame list into as few dst.Write calls as
 // its chunk size allows — usually one. It owns a persistent buffer, so one
 // Coalescer per event loop amortizes the allocation across every flush.
+// The buffer is not preallocated: it grows to what the flushes need (about
+// one chunk at most), and a two-switch testbed's loop needs very little.
 // Not safe for concurrent use; it belongs to a single loop goroutine.
 type Coalescer struct {
 	buf   []byte
@@ -21,7 +23,7 @@ func NewCoalescer(chunk int) *Coalescer {
 	if chunk <= 0 {
 		chunk = DefaultFlushChunk
 	}
-	return &Coalescer{buf: make([]byte, 0, chunk), chunk: chunk}
+	return &Coalescer{chunk: chunk}
 }
 
 // Flush writes frames to dst coalesced into chunk-bounded writes. Every

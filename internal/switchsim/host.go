@@ -46,14 +46,6 @@ type Host struct {
 type HostConfig struct {
 	// Shards is the number of event-loop shards (default 1).
 	Shards int
-	// Batch bounds how many events one loop iteration processes between
-	// flushes (default 256).
-	Batch int
-	// QueueLen is the per-shard intake preallocation (default 4096).
-	// Hosted intake never blocks producers (readers and cross-loop writes
-	// both use non-blocking pushes, so loops can never deadlock on each
-	// other's backpressure); the queue-depth gauge tracks overshoot.
-	QueueLen int
 	// Tick is the shard timer granularity for echo liveness and flow
 	// expiry checks (default 100ms). Per-connection deadlines are kept in
 	// loop-owned state and checked once per tick, replacing per-switch
@@ -71,12 +63,6 @@ func (c *HostConfig) setDefaults() {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.Batch <= 0 {
-		c.Batch = 256
-	}
-	if c.QueueLen <= 0 {
-		c.QueueLen = 4096
-	}
 	if c.Tick <= 0 {
 		c.Tick = 100 * time.Millisecond
 	}
@@ -84,6 +70,17 @@ func (c *HostConfig) setDefaults() {
 		c.Clock = clock.New()
 	}
 }
+
+const (
+	// hostBatch bounds how many events one loop iteration processes
+	// between flushes.
+	hostBatch = 256
+	// hostQueueLen is the per-shard intake preallocation. Hosted intake
+	// never blocks producers (readers and cross-loop writes both use
+	// non-blocking pushes, so loops can never deadlock on each other's
+	// backpressure); the queue-depth gauge tracks overshoot.
+	hostQueueLen = 4096
+)
 
 // Event kinds of the hosted control-channel loop. Events are small values
 // (no pooling needed): the queue slices recycle via evloop's swap.
@@ -111,10 +108,13 @@ type hostShard struct {
 	q   *evloop.Queue[hostEvent]
 	out *evloop.Coalescer
 
-	// Loop-owned: the live sessions, and those with pending writes this
-	// batch.
+	// Loop-owned: the live sessions, those with pending writes this batch,
+	// and the next flow-expiry sweep of every switch admitted so far. A
+	// switch stays in expiry while its session is down: its flows keep
+	// timing out whether or not a controller hears about it.
 	conns   map[*hostedConn]struct{}
 	touched []*hostedConn
+	expiry  map[*Switch]time.Time
 
 	processed atomic.Uint64
 	batchN    uint64
@@ -137,7 +137,6 @@ type hostedConn struct {
 	// Loop-owned session state (only the shard loop touches these).
 	lastRx     time.Time
 	nextEcho   time.Time
-	nextExpiry time.Time
 	pend       [][]byte
 	pendQueued bool
 	open       bool
@@ -195,11 +194,12 @@ func NewHost(cfg HostConfig) *Host {
 			h:  h,
 			id: i,
 			q: evloop.NewQueue[hostEvent](evloop.Config{
-				Capacity: cfg.QueueLen,
+				Capacity: hostQueueLen,
 				Depth:    cfg.Telemetry.Gauge(fmt.Sprintf("switchsim.host.shard.%d.queue_depth", i)),
 			}),
 			out:     evloop.NewCoalescer(0),
 			conns:   make(map[*hostedConn]struct{}),
+			expiry:  make(map[*Switch]time.Time),
 			msgs:    cfg.Telemetry.Counter(fmt.Sprintf("switchsim.host.shard.%d.msgs", i)),
 			batches: cfg.Telemetry.Counter(fmt.Sprintf("switchsim.host.shard.%d.batches", i)),
 			batchSz: cfg.Telemetry.Histogram(fmt.Sprintf("switchsim.host.shard.%d.batch_size", i)),
@@ -435,15 +435,14 @@ func (sh *hostShard) tickLoop() {
 	}
 }
 
-// drainBatch processes one queue swap in Batch-sized chunks with a single
-// clock read per chunk, then flushes every touched session's writes with
-// one coalesced Conn.Write each.
+// drainBatch processes one queue swap in hostBatch-sized chunks with a
+// single clock read per chunk, then flushes every touched session's writes
+// with one coalesced Conn.Write each.
 func (sh *hostShard) drainBatch(events []hostEvent) {
-	max := sh.h.cfg.Batch
 	for len(events) > 0 {
 		n := len(events)
-		if n > max {
-			n = max
+		if n > hostBatch {
+			n = hostBatch
 		}
 		chunk := events[:n]
 		events = events[n:]
@@ -486,8 +485,10 @@ func (sh *hostShard) openConn(hc *hostedConn, now time.Time) {
 	hc.open = true
 	hc.lastRx = now
 	hc.nextEcho = now.Add(sw.cfg.EchoInterval)
-	hc.nextExpiry = now.Add(sw.cfg.ExpiryInterval)
 	sh.conns[hc] = struct{}{}
+	if _, admitted := sh.expiry[sw]; !admitted {
+		sh.expiry[sw] = now.Add(sw.cfg.ExpiryInterval)
+	}
 	sw.setConnected(true, hc)
 }
 
@@ -526,9 +527,9 @@ func (sh *hostShard) queueWrite(hc *hostedConn, buf []byte) {
 	}
 }
 
-// tick runs the per-connection timer checks against the batch timestamp:
-// echo-timeout liveness (close and let the reader deliver hevClosed),
-// echo probing, and flow-expiry sweeps.
+// tick runs the timer checks against the batch timestamp: per session,
+// echo-timeout liveness (close and let the reader deliver hevClosed) and
+// echo probing; per admitted switch, connected or not, flow-expiry sweeps.
 func (sh *hostShard) tick(now time.Time) {
 	for hc := range sh.conns {
 		sw := hc.sw
@@ -540,9 +541,11 @@ func (sh *hostShard) tick(now time.Time) {
 			hc.sendAsync(sw.nextXid(), &openflow.EchoRequest{Data: []byte(sw.cfg.Name)})
 			hc.nextEcho = now.Add(sw.cfg.EchoInterval)
 		}
-		if !now.Before(hc.nextExpiry) {
-			sw.expireOnce(now, hc)
-			hc.nextExpiry = now.Add(sw.cfg.ExpiryInterval)
+	}
+	for sw, next := range sh.expiry {
+		if !now.Before(next) {
+			sw.expireOnce(now)
+			sh.expiry[sw] = now.Add(sw.cfg.ExpiryInterval)
 		}
 	}
 }
@@ -599,7 +602,7 @@ func (sh *hostShard) observeImbalance() {
 			max = p
 		}
 	}
-	if max > 2*min+uint64(sh.h.cfg.Batch) {
+	if max > 2*min+hostBatch {
 		sh.h.imbalance.Inc()
 	}
 }

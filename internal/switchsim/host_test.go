@@ -2,6 +2,7 @@ package switchsim
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"attain/internal/dataplane"
 	"attain/internal/netaddr"
 	"attain/internal/netem"
+	"attain/internal/openflow"
 )
 
 // hostRig is a shard-hosted fleet of switches against one real controller
@@ -249,4 +251,83 @@ func buildEthFrame(dst, src netaddr.MAC, etherType uint16, payload []byte) []byt
 	frame = append(frame, src[:]...)
 	frame = append(frame, byte(etherType>>8), byte(etherType))
 	return append(frame, payload...)
+}
+
+// TestHostedExpiryWhileDisconnected pins that a hosted switch keeps timing
+// its flows out after its control session dies, as a Start()ed switch's
+// expiryLoop does: a flow with a hard timeout is gone once the clock passes
+// it, controller or no controller.
+func TestHostedExpiryWhileDisconnected(t *testing.T) {
+	clk := clock.NewMock(time.Unix(1000, 0))
+	tr := netem.NewBufferedMemTransport(0)
+	ln, err := tr.Listen("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A scripted controller: handshake, install one flow that lives a
+	// second, and confirm it landed.
+	installed := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		_ = openflow.WriteMessage(c, 1, &openflow.Hello{})
+		_ = openflow.WriteMessage(c, 2, &openflow.FlowMod{
+			Match: openflow.MatchAll(), Command: openflow.FlowModAdd, HardTimeout: 1,
+			BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
+		})
+		_ = openflow.WriteMessage(c, 3, &openflow.BarrierRequest{})
+		for {
+			raw, err := openflow.ReadRaw(c)
+			if err != nil {
+				return
+			}
+			if hd, _, err := openflow.Unmarshal(raw); err == nil && hd.Type == openflow.TypeBarrierReply {
+				installed <- c
+				return
+			}
+		}
+	}()
+
+	host := NewHost(HostConfig{Clock: clk})
+	host.Start()
+	defer host.Stop()
+	sw := New(Config{
+		Name: "s1", DPID: 1, ControllerAddr: "c1", Transport: tr,
+		ReconnectInterval: time.Hour,
+	}, clk)
+	if err := host.Admit(sw); err != nil {
+		t.Fatal(err)
+	}
+	var ctrlSide net.Conn
+	select {
+	case ctrlSide = <-installed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("flow never installed")
+	}
+	if n := sw.Table().Len(); n != 1 {
+		t.Fatalf("table has %d flows after install, want 1", n)
+	}
+
+	// Kill the controller side for good: the session drops and no redial
+	// can land.
+	_ = ln.Close()
+	_ = ctrlSide.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for sw.Connected() {
+		if time.Now().After(deadline) {
+			t.Fatal("session never dropped")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Past the hard timeout the next tick's sweep must evict the flow.
+	clk.Advance(2 * time.Second)
+	for sw.Table().Len() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("disconnected hosted switch still holds %d flows past their hard timeout", sw.Table().Len())
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

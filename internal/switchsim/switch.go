@@ -494,12 +494,12 @@ func (s *Switch) nextXid() uint32 { return s.xid.Add(1) }
 
 // ---- Controller channel ----
 
-// ctrlChan abstracts the switch's view of its control connection: the
-// goroutine path implements it with *ctrlConn (a write-pump goroutine per
-// connection), the shard-hosted path with *hostedConn (writes queued to
-// the owning shard loop and coalesced per batch). All message handlers
-// dispatch through this interface, so the datapath logic is identical in
-// both modes.
+// ctrlChan abstracts the switch's view of its control connection. A
+// Start()ed switch (the two-switch paper testbed) implements it with
+// *ctrlConn, one writer goroutine per connection; a switch admitted to a
+// Host (every fabric) with *hostedConn, whose writes queue to the owning
+// shard loop and coalesce per batch. All message handlers dispatch through
+// this interface, so the datapath logic is identical either way.
 type ctrlChan interface {
 	// send queues a message, blocking while there is room; net.ErrClosed
 	// once the channel is down.
@@ -990,18 +990,19 @@ func (s *Switch) expiryLoop() {
 		case <-s.stop:
 			return
 		case <-s.clk.After(s.cfg.ExpiryInterval):
-			s.mu.Lock()
-			conn := s.conn
-			s.mu.Unlock()
-			s.expireOnce(s.clk.Now(), conn)
+			s.expireOnce(s.clk.Now())
 		}
 	}
 }
 
 // expireOnce runs one flow-timeout sweep, notifying the controller over
-// conn. Shared by the goroutine expiryLoop and the shard-hosted tick path
-// (which passes the hosted connection and its batch timestamp).
-func (s *Switch) expireOnce(now time.Time, conn ctrlChan) {
+// the current control channel if there is one. Shared by the goroutine
+// expiryLoop and the shard-hosted tick path (which passes its batch
+// timestamp).
+func (s *Switch) expireOnce(now time.Time) {
+	s.mu.Lock()
+	conn := s.conn
+	s.mu.Unlock()
 	expired := s.table.Expire(now)
 	for _, ex := range expired {
 		s.ctrs.flowModsEvicted.Inc()

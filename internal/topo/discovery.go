@@ -160,9 +160,10 @@ type Discovery struct {
 	inner controller.App
 	tel   *telemetry.Telemetry
 
-	// intake, when non-nil (StartBatching), routes LLDP observations to a
-	// drain loop instead of taking the table lock inside controller
-	// dispatch. Set once before the controller starts; read-only after.
+	// intake routes LLDP observations to the fabric's drain loop
+	// (Fabric.discoveryDrain), which applies them via absorb — one table
+	// lock and one clock read per batch instead of per probe frame inside
+	// controller dispatch.
 	intake *evloop.Queue[DiscLink]
 
 	mu         sync.Mutex
@@ -172,23 +173,16 @@ type Discovery struct {
 
 // NewDiscovery wraps app with discovery.
 func NewDiscovery(app controller.App, tel *telemetry.Telemetry) *Discovery {
-	return &Discovery{inner: app, tel: tel, links: make(map[DiscLink]struct{})}
+	return &Discovery{
+		inner: app, tel: tel, links: make(map[DiscLink]struct{}),
+		intake: evloop.NewQueue[DiscLink](evloop.Config{
+			Depth: tel.Gauge("fabric.discovery.queue_depth"),
+		}),
+	}
 }
 
 // Name identifies the wrapped profile plus the discovery layer.
 func (d *Discovery) Name() string { return d.inner.Name() + "+discovery" }
-
-// StartBatching switches LLDP observation handling to batch mode: the
-// PacketIn path enqueues links on the returned queue and the caller owns
-// a drain loop that applies them via absorb — one table lock and one
-// clock read per batch instead of per probe frame. Must be called before
-// the controller starts dispatching.
-func (d *Discovery) StartBatching() *evloop.Queue[DiscLink] {
-	d.intake = evloop.NewQueue[DiscLink](evloop.Config{
-		Depth: d.tel.Gauge("fabric.discovery.queue_depth"),
-	})
-	return d.intake
-}
 
 // absorb applies one drained batch of LLDP observations at the given
 // observation time, emitting one discovery event per newly learned link.
@@ -214,23 +208,7 @@ func (d *Discovery) absorb(batch []DiscLink, now time.Time) {
 // rest to the wrapped application.
 func (d *Discovery) PacketIn(sw *controller.SwitchConn, pi *openflow.PacketIn) {
 	if dpid, port, ok := UnmarshalLLDP(pi.Data); ok {
-		link := DiscLink{SrcDPID: dpid, SrcPort: port, DstDPID: sw.DPID(), DstPort: pi.InPort}
-		if d.intake != nil {
-			d.intake.PushNoWait(link)
-			return
-		}
-		d.mu.Lock()
-		_, known := d.links[link]
-		if !known {
-			d.links[link] = struct{}{}
-		}
-		d.mu.Unlock()
-		if !known {
-			d.tel.Emit(telemetry.Event{
-				Layer: telemetry.LayerFabric, Kind: telemetry.KindLink,
-				Node: fmt.Sprintf("%#x", sw.DPID()), Detail: "discovered " + link.String(),
-			})
-		}
+		d.intake.PushNoWait(DiscLink{SrcDPID: dpid, SrcPort: port, DstDPID: sw.DPID(), DstPort: pi.InPort})
 		return
 	}
 	d.inner.PacketIn(sw, pi)

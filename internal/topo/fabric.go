@@ -14,7 +14,6 @@ import (
 	"attain/internal/core/inject"
 	"attain/internal/core/lang"
 	"attain/internal/core/model"
-	"attain/internal/evloop"
 	"attain/internal/netem"
 	"attain/internal/openflow"
 	"attain/internal/switchsim"
@@ -42,7 +41,7 @@ const (
 // netem links to direct delivery.
 const DirectThreshold = 200
 
-// fabricRingSize is the per-direction buffer of shard-hosted control
+// fabricRingSize is the per-direction buffer of the fabric's control
 // channels (see the Transport default in NewFabric).
 const fabricRingSize = 16 << 10
 
@@ -54,7 +53,7 @@ type FabricConfig struct {
 	Profile controller.Profile
 	// Clock drives every component; defaults to the real clock.
 	Clock clock.Clock
-	// Transport supplies the control plane; defaults to a fresh
+	// Transport supplies the control plane; defaults to a fresh buffered
 	// MemTransport.
 	Transport netem.Transport
 	// Telemetry, when non-nil, receives fabric bring-up/convergence events
@@ -92,16 +91,14 @@ type FabricConfig struct {
 	EchoInterval time.Duration
 	// StochasticSeed seeds the injector's probabilistic rules.
 	StochasticSeed int64
-	// Shards, when > 0, runs every switch on a shard-hosted event loop
-	// (switchsim.Host) instead of per-switch goroutine pumps, and passes
-	// the same shard count to the injector core. This is the fabric-scale
-	// mode: 5,000 switches need ~Shards loops plus one reader per
-	// control channel instead of ~5 goroutines per switch. 0 keeps the
-	// legacy goroutine-per-switch mode.
+	// Shards is the number of event loops the switches are hosted on
+	// (switchsim.Host), and the injector core is given the same count:
+	// 5,000 switches need Shards loops plus one reader per control channel.
+	// Zero or less means one loop. Shard count is an execution knob only:
+	// it never changes what a run observes.
 	Shards int
 	// WaveSize bounds how many control-channel handshakes are in flight
-	// at once during shard-hosted bring-up (default 256). Only meaningful
-	// with Shards > 0; legacy mode starts every switch at once.
+	// at once during bring-up (default 256).
 	WaveSize int
 }
 
@@ -130,13 +127,9 @@ type Fabric struct {
 	// toggle for scripted churn.
 	flappers [][2]flapEnd
 
-	// host runs every switch's control session on shared shard loops
-	// when cfg.Shards > 0; nil in legacy goroutine mode.
+	// host runs every switch's control session on shared shard loops.
 	host *switchsim.Host
-	// discQ batches LLDP link observations out of controller dispatch in
-	// shard-hosted mode; nil in legacy mode.
-	discQ *evloop.Queue[DiscLink]
-	mode  LinkMode
+	mode LinkMode
 
 	bringupWaves   atomic.Uint64
 	peakGoroutines atomic.Int64
@@ -168,25 +161,21 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.New()
 	}
-	if cfg.Shards < 0 {
-		cfg.Shards = 0
+	if cfg.Shards <= 0 {
+		cfg.Shards = 1
 	}
 	if cfg.WaveSize <= 0 {
 		cfg.WaveSize = 256
 	}
 	if cfg.Transport == nil {
-		if cfg.Shards > 0 {
-			// Shard loops flush coalesced write batches; the buffered
-			// transport decouples those bursts from reader pace where the
-			// synchronous rendezvous transport would serialize them. The
-			// rings are deliberately small: control frames are tiny, and
-			// every (re)dial allocates and zeroes two rings — at 5,000
-			// switches the 64KiB default turns reconnect churn into a
-			// measurable allocation storm.
-			cfg.Transport = netem.NewBufferedMemTransport(fabricRingSize)
-		} else {
-			cfg.Transport = netem.NewMemTransport()
-		}
+		// Shard loops flush coalesced write batches; the buffered
+		// transport decouples those bursts from reader pace where the
+		// synchronous rendezvous transport would serialize them. The
+		// rings are deliberately small: control frames are tiny, and
+		// every (re)dial allocates and zeroes two rings — at 5,000
+		// switches the 64KiB default turns reconnect churn into a
+		// measurable allocation storm.
+		cfg.Transport = netem.NewBufferedMemTransport(fabricRingSize)
 	}
 	if cfg.Profile == 0 {
 		cfg.Profile = controller.ProfileFloodlight
@@ -236,12 +225,6 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 	f.goroutineGauge = cfg.Telemetry.Gauge("fabric.goroutines.peak")
 
 	f.Disc = NewDiscovery(controller.NewLearningSwitch(cfg.Profile), cfg.Telemetry)
-	if cfg.Shards > 0 {
-		// Batch LLDP observations out of controller dispatch: PacketIn
-		// enqueues, one drain loop locks once and reads the clock once per
-		// batch instead of per probe.
-		f.discQ = f.Disc.StartBatching()
-	}
 	f.Ctrl = controller.New(controller.Config{
 		Name:            "c1",
 		ListenAddr:      ControllerAddr,
@@ -280,16 +263,12 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 		ctrlAddrFor = inj.ProxyAddrFor
 	}
 
-	var onConnErr func(error)
-	if cfg.Shards > 0 {
-		f.host = switchsim.NewHost(switchsim.HostConfig{
-			Shards:    cfg.Shards,
-			Seed:      cfg.StochasticSeed,
-			Clock:     f.clk,
-			Telemetry: cfg.Telemetry,
-		})
-		onConnErr = f.noteBringupErr
-	}
+	f.host = switchsim.NewHost(switchsim.HostConfig{
+		Shards:    cfg.Shards,
+		Seed:      cfg.StochasticSeed,
+		Clock:     f.clk,
+		Telemetry: cfg.Telemetry,
+	})
 	for _, sw := range f.graph.Switches {
 		conn := model.Conn{Controller: "c1", Switch: model.NodeID(sw.Name)}
 		f.switches[sw.Name] = switchsim.New(switchsim.Config{
@@ -299,7 +278,7 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 			Transport:      f.tr,
 			EchoInterval:   cfg.EchoInterval,
 			Telemetry:      cfg.Telemetry,
-			OnConnError:    onConnErr,
+			OnConnError:    f.noteBringupErr,
 		}, f.clk)
 	}
 
@@ -363,11 +342,9 @@ func (f *Fabric) HostFrames() uint64 { return f.hostFrames.Load() }
 // background context.
 func (f *Fabric) Start() error { return f.StartContext(context.Background()) }
 
-// StartContext brings the fabric up. In shard-hosted mode (Shards > 0)
-// switch admission runs in bounded waves in the background; cancelling
-// ctx abandons the waves not yet started — already-admitted switches
-// keep running until Stop. Legacy mode starts every switch at once and
-// ignores ctx.
+// StartContext brings the fabric up. Switch admission runs in bounded
+// waves in the background; cancelling ctx abandons the waves not yet
+// started — already-admitted switches keep running until Stop.
 func (f *Fabric) StartContext(ctx context.Context) error {
 	if err := f.Ctrl.Start(); err != nil {
 		return fmt.Errorf("topo: start controller: %w", err)
@@ -378,18 +355,11 @@ func (f *Fabric) StartContext(ctx context.Context) error {
 			return fmt.Errorf("topo: start injector: %w", err)
 		}
 	}
-	if f.host != nil {
-		f.host.Start()
-		f.wg.Add(2)
-		go f.admitAll(ctx)
-		go f.discoveryDrain()
-	} else {
-		for _, sw := range f.switches {
-			sw.Start()
-		}
-	}
+	f.host.Start()
 	f.started = true
-	f.wg.Add(1)
+	f.wg.Add(3)
+	go f.admitAll(ctx)
+	go f.discoveryDrain()
 	go f.probeLoop()
 	return nil
 }
@@ -399,12 +369,7 @@ func (f *Fabric) StartContext(ctx context.Context) error {
 func (f *Fabric) Stop() {
 	close(f.stop)
 	f.wg.Wait()
-	if f.host != nil {
-		f.host.Stop()
-	}
-	for _, sw := range f.switches {
-		sw.Stop()
-	}
+	f.host.Stop()
 	if f.Inj != nil {
 		f.Inj.Stop()
 	}
@@ -469,7 +434,7 @@ func (f *Fabric) admitAll(ctx context.Context) {
 func (f *Fabric) discoveryDrain() {
 	defer f.wg.Done()
 	for {
-		batch := f.discQ.Drain(f.stop)
+		batch := f.Disc.intake.Drain(f.stop)
 		if batch == nil {
 			return
 		}
@@ -494,8 +459,8 @@ func (f *Fabric) loadBringupErr() error {
 	return f.bringupErr
 }
 
-// sampleGoroutines tracks the peak goroutine count — the headline
-// resource metric for the shard-hosted refactor.
+// sampleGoroutines tracks the peak goroutine count, the headline resource
+// metric of shard hosting.
 func (f *Fabric) sampleGoroutines() {
 	n := int64(runtime.NumGoroutine())
 	for {
@@ -510,8 +475,7 @@ func (f *Fabric) sampleGoroutines() {
 	}
 }
 
-// BringupWaves returns how many admission waves have completed (0 in
-// legacy mode).
+// BringupWaves returns how many admission waves have completed.
 func (f *Fabric) BringupWaves() uint64 { return f.bringupWaves.Load() }
 
 // PeakGoroutines returns the highest goroutine count sampled during

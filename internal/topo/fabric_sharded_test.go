@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -84,17 +86,20 @@ func runPoisonToSaturation(t *testing.T, shards int) poisonProjection {
 	}
 }
 
-// TestFabricShardEquivalence pins the refactor's core determinism claim:
-// the shard-hosted event-loop mode is an execution strategy, not a
-// semantics change. The same poisoned topology must audit identically
-// whether switches run goroutine-per-switch (shards=0), on one shared
-// loop, or spread across several.
+// TestFabricShardEquivalence pins that shard count is an execution
+// strategy, not a semantics change. testdata/poison_saturated_audit.golden
+// is the saturated audit the goroutine-per-switch fabric (Shards=0 at the
+// commit before its removal) reached on this poisoned topology; one shared
+// loop and several must reach exactly it.
 func TestFabricShardEquivalence(t *testing.T) {
-	want := runPoisonToSaturation(t, 0)
+	golden, err := os.ReadFile(filepath.Join("testdata", "poison_saturated_audit.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.TrimSpace(string(golden))
 	for _, shards := range []int{1, 4} {
-		got := runPoisonToSaturation(t, shards)
-		if got != want {
-			t.Fatalf("shards=%d diverged from goroutine mode:\n got %+v\nwant %+v", shards, got, want)
+		if got := fmt.Sprintf("%+v", runPoisonToSaturation(t, shards)); got != want {
+			t.Fatalf("shards=%d diverged from the goroutine-mode golden:\n got %s\nwant %s", shards, got, want)
 		}
 	}
 }

@@ -78,10 +78,10 @@ type ScenarioConfig struct {
 	// programs may legitimately flatline the control channel; a synth
 	// campaign wants that recorded, not retried.
 	TolerateDisruption bool
-	// Shards > 0 runs every switch (and the injector, if any) on that
-	// many shard-hosted event loops; 0 keeps goroutine-per-switch mode.
+	// Shards is the number of event loops the switches (and the injector,
+	// if any) run on; 0 means one.
 	Shards int
-	// WaveSize bounds concurrent handshakes during shard-hosted bring-up
+	// WaveSize bounds concurrent handshakes during bring-up
 	// (default 256).
 	WaveSize int
 }
@@ -134,8 +134,8 @@ type FabricResult struct {
 	Deviation bool   `json:"deviation"`
 	Detail    string `json:"detail,omitempty"`
 
-	// BringupWaves and PeakGoroutines describe shard-hosted bring-up
-	// (both zero in legacy goroutine mode).
+	// BringupWaves and PeakGoroutines describe bring-up: admission waves
+	// completed and the highest goroutine count sampled.
 	BringupWaves   uint64 `json:"bringup_waves,omitempty"`
 	PeakGoroutines int64  `json:"peak_goroutines,omitempty"`
 }
