@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet build test race cover bench-check smoke grid-smoke serve-smoke fabric-smoke synth-smoke fuzz-smoke fuzz-seed bench clean
+.PHONY: ci vet build test race cover bench-check grid-bench smoke grid-smoke serve-smoke fabric-smoke synth-smoke fuzz-smoke fuzz-seed bench clean
 
-ci: vet build test race cover bench-check fuzz-smoke smoke grid-smoke serve-smoke fabric-smoke synth-smoke
+ci: vet build test race cover bench-check grid-bench fuzz-smoke smoke grid-smoke serve-smoke fabric-smoke synth-smoke
 
 vet:
 	$(GO) vet ./...
@@ -15,9 +15,13 @@ test:
 
 # Whole-repo race run: the injector, switch simulator, controller, and
 # telemetry layer all share hot paths with the campaign worker pool, so
-# everything stays under the race detector on every CI run.
+# everything stays under the race detector on every CI run. The grid and
+# its service run three times over: their lease window, worker queue and
+# flusher interleave differently from run to run, and one pass misses
+# races a second one finds.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=3 ./internal/grid ./internal/gridsvc
 
 # Coverage ratchet: the language core and its compiler are the packages
 # every generated program flows through, and the grid/service layer is
@@ -38,6 +42,11 @@ cover:
 bench-check:
 	$(GO) vet ./bench
 	$(GO) test ./bench
+
+# The grid's own benchmarks, once each: a codec or API change that breaks
+# them fails here rather than at the next person who wants a number.
+grid-bench:
+	$(GO) test ./internal/grid -run '^$$' -bench 'GridLocalStub|EncodeResultBatch' -benchtime 1x
 
 # End-to-end smoke: one short interruption scenario through the campaign
 # CLI with telemetry tracing on, artifacts written to a scratch directory.

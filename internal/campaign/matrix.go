@@ -2,8 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"hash/fnv"
-	"io"
 
 	"attain/internal/controller"
 	"attain/internal/switchsim"
@@ -98,7 +96,22 @@ func (m Matrix) Expand() []Scenario {
 		synthCount = 1
 	}
 
-	var out []Scenario
+	// Size the slice from the axes: growing a slice of ~300-byte
+	// scenarios by doubling copies the matrix twice over.
+	n := 0
+	for _, kind := range kinds {
+		cells := len(attacks)
+		switch kind {
+		case KindInterruption:
+			cells = len(failModes)
+		case KindFabric:
+			cells = len(topologies) * len(fabricAttacks)
+		case KindSynth:
+			cells = len(topologies) * synthCount
+		}
+		n += len(profiles) * cells * trials
+	}
+	out := make([]Scenario, 0, n)
 	add := func(sc Scenario) {
 		sc.Index = len(out)
 		sc.TimeScale = m.TimeScale
@@ -186,9 +199,13 @@ func scenarioName(sc Scenario) string {
 // per-scenario seed, so stochastic rules draw from a private, reproducible
 // stream instead of a shared source.
 func DeriveSeed(base int64, name string) int64 {
-	h := fnv.New64a()
-	io.WriteString(h, name)
-	seed := int64(h.Sum64() ^ (uint64(base)+1)*0x9e3779b97f4a7c15)
+	// FNV-1a (64-bit) over the name's bytes, as hash/fnv computes it,
+	// without a hasher allocation per scenario.
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 1099511628211
+	}
+	seed := int64(h ^ (uint64(base)+1)*0x9e3779b97f4a7c15)
 	if seed == 0 {
 		seed = 1
 	}

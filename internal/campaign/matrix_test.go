@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"attain/internal/controller"
@@ -108,5 +110,53 @@ func TestMatrixTrialAxis(t *testing.T) {
 	}
 	if scenarios[0].Seed == scenarios[1].Seed {
 		t.Error("trials share a stochastic seed")
+	}
+}
+
+// TestDeriveSeedGolden pins DeriveSeed to the values hash/fnv's New64a
+// produced before the hash was inlined: scenario seeds are part of every
+// recorded campaign's identity.
+func TestDeriveSeedGolden(t *testing.T) {
+	for _, c := range []struct {
+		base int64
+		name string
+		want int64
+	}{
+		{0, "", 6180598255448514352},
+		{0, "a", 3554648481770213529},
+		{-1, "a", -5808556873153909620},
+		{1, "suppression/floodlight/baseline#1", -4147355392285497305},
+		{42, "interruption/pox/fail-secure#2", 8039783494774800689},
+		{-7, "fabric/ryu/leafspine:4x12x1/lldp-poison#3", -8341925036077999321},
+		{9, "synth/pox/linear:10/synth-000017#1", -1478726198045784440},
+		{5, "抑制/控制器/基线#1", -1776323067366610467},
+		{5, "supprèssion/ßwitch/naïve#1", 9135443879367511793},
+		{1 << 62, "x\x00y", 6947023014764745985},
+	} {
+		if got := DeriveSeed(c.base, c.name); got != c.want {
+			t.Errorf("DeriveSeed(%d, %q) = %d, want %d", c.base, c.name, got, c.want)
+		}
+	}
+}
+
+// TestMatrixExpandGolden pins a four-kind expansion, every field of every
+// scenario, to a digest recorded before Expand pre-sized its slice, and
+// checks that the size computed from the axes is the size produced.
+func TestMatrixExpandGolden(t *testing.T) {
+	out := Matrix{
+		Kinds:  []Kind{KindSuppression, KindInterruption, KindFabric, KindSynth},
+		Trials: 3, Seed: 42, SynthCount: 5, SynthSeed: 11, TimeScale: 20,
+		FabricShards: 4, FabricWave: 64, Trace: true,
+	}.Expand()
+	h := sha256.New()
+	for _, sc := range out {
+		fmt.Fprintf(h, "%+v\n", sc)
+	}
+	const want = "80f46b08a336bda414a70f2487c4310dc3b788e91fa503d8bf7675ad30c56aa8"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); len(out) != 225 || got != want {
+		t.Errorf("expansion = %d scenarios, digest %s; want 225, %s", len(out), got, want)
+	}
+	if cap(out) != len(out) {
+		t.Errorf("slice sized for %d scenarios, expansion produced %d", cap(out), len(out))
 	}
 }

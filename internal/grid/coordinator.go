@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -129,10 +131,19 @@ type scenState struct {
 	notBefore time.Time
 	// grants counts non-steal grants so far (the requeue budget); steals
 	// counts duplicate steal grants (the steal budget). excluded lists
-	// workers this scenario must avoid (they held it when it was lost).
+	// workers this scenario must avoid (they held it when it was lost);
+	// it is allocated on the first loss.
 	grants   int
 	steals   int
 	excluded map[string]bool
+}
+
+// exclude bars worker from being granted this scenario again.
+func (st *scenState) exclude(worker string) {
+	if st.excluded == nil {
+		st.excluded = make(map[string]bool)
+	}
+	st.excluded[worker] = true
 }
 
 // oldestGrant returns the earliest grant time among current holders.
@@ -146,7 +157,8 @@ func (st *scenState) oldestGrant() time.Time {
 	return oldest
 }
 
-// remoteWorker is a connected worker.
+// remoteWorker is a connected worker: slots is how many scenarios it
+// executes at once, leases every scenario it holds (executing or queued).
 type remoteWorker struct {
 	name   string
 	slots  int
@@ -154,7 +166,19 @@ type remoteWorker struct {
 	leases map[int]bool
 }
 
-func (w *remoteWorker) free() int { return w.slots - len(w.leases) }
+// refillTarget is how much work a worker may hold queued behind each slot,
+// measured at the mean scenario duration: about one result-batch round
+// trip (encode, loopback or LAN hop, store puts, sweep, LEASE burst back),
+// which is how long a slot would otherwise idle between finishing a
+// scenario and receiving the next. A scenario longer than slots ×
+// refillTarget is therefore never queued behind another, and the tail
+// cost of queueing — work sitting in one worker's queue that an idle
+// worker could have started — is bounded by refillTarget at the mean.
+const refillTarget = 4 * time.Millisecond
+
+// maxPrefetch caps the queued leases per worker: one full result batch
+// being filled while another is in flight to the coordinator.
+const maxPrefetch = 2 * DefaultBatchResults
 
 // WorkerStatus is one connected worker's live state, for dashboards.
 type WorkerStatus struct {
@@ -187,14 +211,21 @@ type StatusSnapshot struct {
 type Coordinator struct {
 	cfg CoordinatorConfig
 
-	mu        sync.Mutex
-	scen      []*scenState
-	// scanFrom is the first index that might not be done: stateDone is
-	// permanent, so the prefix below it never needs scanning again. Keeps
-	// sweep amortized O(live scenarios) instead of O(campaign size) — the
-	// difference between flat and quadratic coordinator cost at 10⁵
-	// scenarios.
-	scanFrom  int
+	mu   sync.Mutex
+	scen []scenState
+	// leased holds the indices in stateLeased, ascending: expiry and
+	// stealing walk it instead of the matrix, so a sweep costs O(leases
+	// out), not O(scenarios left). nPending counts statePending, and
+	// firstPending is a lower bound on the lowest pending index (done is
+	// permanent and grants go out in index order, so the cursor only
+	// moves back when a lost lease requeues). setState maintains all
+	// three.
+	leased       []int
+	nPending     int
+	firstPending int
+	// meanDur is the moving average of reported ScenarioResult.Duration
+	// (0 until a first result lands); it sizes the lease window.
+	meanDur   time.Duration
 	workers   map[string]*remoteWorker
 	results   []campaign.ScenarioResult
 	remaining int
@@ -255,20 +286,21 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		gaugeLeases:  cfg.Telemetry.Gauge("grid.leases_outstanding"),
 	}
 	cfg.Telemetry.Counter("grid.scenarios_total").Add(uint64(len(cfg.Scenarios)))
-	c.scen = make([]*scenState, len(cfg.Scenarios))
+	c.scen = make([]scenState, len(cfg.Scenarios))
 	for i, sc := range cfg.Scenarios {
-		c.scen[i] = &scenState{sc: sc, excluded: make(map[string]bool)}
+		c.scen[i].sc = sc
 	}
+	c.nPending = len(c.scen)
 	if r := cfg.Restore; r != nil {
 		for idx, status := range r.Done {
 			if idx < 0 || idx >= len(c.scen) {
 				continue
 			}
-			st := c.scen[idx]
+			st := &c.scen[idx]
 			if st.state == stateDone {
 				continue
 			}
-			st.state = stateDone
+			c.setState(idx, stateDone)
 			c.results[idx] = campaign.ScenarioResult{Scenario: st.sc, Status: status}
 			c.remaining--
 			if status == campaign.StatusFailed {
@@ -286,7 +318,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 				continue
 			}
 			for _, name := range names {
-				c.scen[idx].excluded[name] = true
+				c.scen[idx].exclude(name)
 			}
 		}
 	}
@@ -381,8 +413,8 @@ loop:
 
 	// Anything not done drains as skipped (cancellation path).
 	c.mu.Lock()
-	for i, st := range c.scen {
-		if st.state != stateDone {
+	for i := range c.scen {
+		if st := &c.scen[i]; st.state != stateDone {
 			c.results[i] = campaign.ScenarioResult{
 				Scenario: st.sc,
 				Status:   campaign.StatusSkipped,
@@ -446,14 +478,7 @@ func (c *Coordinator) Status() StatusSnapshot {
 		Finished:  c.finished,
 	}
 	s.Done = s.Total - s.Remaining
-	for _, st := range c.scen {
-		switch st.state {
-		case statePending:
-			s.Pending++
-		case stateLeased:
-			s.Leased++
-		}
-	}
+	s.Pending, s.Leased = c.nPending, len(c.leased)
 	names := make([]string, 0, len(c.workers))
 	for name := range c.workers {
 		names = append(names, name)
@@ -562,7 +587,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 			c.refreshLeases(w, busy)
 		case FrameResult:
 			if f.Result != nil {
-				c.applyResult(w, f.Result.Result)
+				c.applyResults(w, []campaign.ScenarioResult{f.Result.Result})
 			}
 		case FrameResultBatch:
 			if f.ResultBatch == nil {
@@ -573,9 +598,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 				c.dropWorker(w, fmt.Sprintf("bad result batch: %v", err))
 				return
 			}
-			for _, res := range results {
-				c.applyResult(w, res)
-			}
+			c.applyResults(w, results)
 		case FrameBye:
 			c.dropWorker(w, "worker said bye")
 			return
@@ -598,14 +621,14 @@ func (c *Coordinator) refreshLeases(w *remoteWorker, busy []int) {
 		if idx < 0 || idx >= len(c.scen) {
 			continue
 		}
-		st := c.scen[idx]
+		st := &c.scen[idx]
 		switch st.state {
 		case stateLeased:
 			if h := st.holders[w.name]; h != nil {
 				h.deadline = now.Add(c.cfg.LeaseTTL)
 			}
 		case statePending:
-			st.state = stateLeased
+			c.setState(idx, stateLeased)
 			if st.holders == nil {
 				st.holders = make(map[string]*leaseHold)
 			}
@@ -626,75 +649,139 @@ func (c *Coordinator) refreshLeases(w *remoteWorker, busy []int) {
 	}
 }
 
-// applyResult lands one worker result: first result for a scenario wins
-// (a slow worker racing its own expired lease — or a steal racing the
-// original holder — produces duplicates, which are counted and dropped),
-// the store streams it in index order, and the freed slot is refilled
-// immediately.
-func (c *Coordinator) applyResult(w *remoteWorker, res campaign.ScenarioResult) {
-	idx := res.Scenario.Index
+// applyResults lands the results of one RESULT or RESULT_BATCH frame under
+// a single lock acquisition, in frame order: the first result for a
+// scenario wins (a slow worker racing its own expired lease — or a steal
+// racing the original holder — produces duplicates, which are counted and
+// dropped), the store streams it in index order, and one scheduler pass
+// then refills every slot the frame freed.
+func (c *Coordinator) applyResults(w *remoteWorker, results []campaign.ScenarioResult) {
+	duplicates := 0
+	landed := results[:0] // the frame's non-duplicates, for the reporting below
 	c.mu.Lock()
-	if idx < 0 || idx >= len(c.scen) {
-		c.mu.Unlock()
-		return
-	}
-	st := c.scen[idx]
-	delete(w.leases, idx)
-	if st.state == stateDone {
-		c.mu.Unlock()
-		c.ctrDuplicate.Inc()
-		return
-	}
-	// Release every holder (steals included) — their slots refill below.
-	for name := range st.holders {
-		if hw := c.workers[name]; hw != nil {
-			delete(hw.leases, idx)
-		}
-	}
-	st.holders = nil
-	st.state = stateDone
-	if c.cfg.Store != nil {
-		if err := c.cfg.Store.Put(res); err != nil && c.storeErr == nil {
-			c.storeErr = err
-		}
-	}
-	if c.cfg.DropOutcomes {
-		res.Outcome = nil
-	}
-	c.results[idx] = res
-	c.remaining--
-	remaining := c.remaining
-	if res.Status == campaign.StatusFailed {
-		c.failed++
-	}
-	if c.cfg.Journal != nil {
-		c.cfg.Journal.Completed(idx, res.Status)
-	}
-	c.progressCount++
 	count := c.progressCount
+	for _, res := range results {
+		idx := res.Scenario.Index
+		if idx < 0 || idx >= len(c.scen) {
+			continue
+		}
+		st := &c.scen[idx]
+		delete(w.leases, idx)
+		if st.state == stateDone {
+			duplicates++
+			continue
+		}
+		// Release every holder (steals included) — their slots refill below.
+		for name := range st.holders {
+			if hw := c.workers[name]; hw != nil {
+				delete(hw.leases, idx)
+			}
+		}
+		st.holders = nil
+		c.setState(idx, stateDone)
+		if c.cfg.Store != nil {
+			if err := c.cfg.Store.Put(res); err != nil && c.storeErr == nil {
+				c.storeErr = err
+			}
+		}
+		c.observeDuration(res.Duration)
+		if c.cfg.DropOutcomes {
+			res.Outcome = nil
+		}
+		c.results[idx] = res
+		c.remaining--
+		if res.Status == campaign.StatusFailed {
+			c.failed++
+		}
+		if c.cfg.Journal != nil {
+			c.cfg.Journal.Completed(idx, res.Status)
+		}
+		landed = append(landed, res)
+	}
+	c.progressCount += len(landed)
+	remaining := c.remaining
 	c.mu.Unlock()
 
-	c.ctrCompleted.Inc()
-	c.cfg.Telemetry.Emit(telemetry.Event{
-		Layer: telemetry.LayerGrid, Kind: telemetry.KindResult,
-		Node: w.name, Detail: fmt.Sprintf("%s status=%s", res.Scenario.Name, res.Status)})
-	if c.cfg.Progress != nil {
-		extra := ""
-		if res.Attempts > 1 {
-			extra = fmt.Sprintf(" attempts=%d", res.Attempts)
+	c.ctrDuplicate.Add(uint64(duplicates))
+	c.ctrCompleted.Add(uint64(len(landed)))
+	for _, res := range landed {
+		count++
+		if c.cfg.Telemetry.Enabled() {
+			c.cfg.Telemetry.Emit(telemetry.Event{
+				Layer: telemetry.LayerGrid, Kind: telemetry.KindResult,
+				Node: w.name, Detail: fmt.Sprintf("%s status=%s", res.Scenario.Name, res.Status)})
 		}
-		if res.Status != campaign.StatusOK && res.Err != "" {
-			extra += ": " + res.Err
+		if c.cfg.Progress != nil {
+			extra := ""
+			if res.Attempts > 1 {
+				extra = fmt.Sprintf(" attempts=%d", res.Attempts)
+			}
+			if res.Status != campaign.StatusOK && res.Err != "" {
+				extra += ": " + res.Err
+			}
+			fmt.Fprintf(c.cfg.Progress, "[%d/%d] %-7s %-40s %8s worker=%s%s\n",
+				count, len(c.cfg.Scenarios), res.Status, res.Scenario.Name,
+				res.Duration.Round(time.Millisecond), w.name, extra)
 		}
-		fmt.Fprintf(c.cfg.Progress, "[%d/%d] %-7s %-40s %8s worker=%s%s\n",
-			count, len(c.cfg.Scenarios), res.Status, res.Scenario.Name,
-			res.Duration.Round(time.Millisecond), w.name, extra)
 	}
 	if remaining == 0 {
 		c.signalDone()
 	} else {
 		c.sweep(time.Now())
 	}
+}
+
+// observeDuration folds one reported scenario duration into meanDur, an
+// exponential moving average weighted 1/8 so the window follows a change
+// of regime within a few dozen results. A zero duration is a result
+// nobody timed, not a fast scenario. Called with c.mu held.
+func (c *Coordinator) observeDuration(d time.Duration) {
+	switch {
+	case d <= 0:
+	case c.meanDur == 0:
+		c.meanDur = d
+	default:
+		c.meanDur = max(1, c.meanDur+(d-c.meanDur)/8)
+	}
+}
+
+// windowLocked is how many leases a worker with the given slot count may
+// hold: one per slot, plus enough queued behind them to cover refillTarget
+// at the measured mean duration. Nothing is queued before the first
+// measurement, and nothing ever for scenarios of slots × refillTarget or
+// longer — the paper's seconds-long runs are placed, stolen and balanced
+// one lease per slot. Called with c.mu held.
+func (c *Coordinator) windowLocked(slots int) int {
+	if c.meanDur == 0 {
+		return slots
+	}
+	prefetch := time.Duration(slots) * refillTarget / c.meanDur
+	return slots + int(min(prefetch, maxPrefetch))
+}
+
+// setState moves scenario idx to state, keeping the pending count, the
+// leased set and the first-pending cursor in step. Called with c.mu held.
+func (c *Coordinator) setState(idx, state int) {
+	st := &c.scen[idx]
+	if st.state == state {
+		return
+	}
+	switch st.state {
+	case statePending:
+		c.nPending--
+	case stateLeased:
+		i, _ := slices.BinarySearch(c.leased, idx)
+		c.leased = slices.Delete(c.leased, i, i+1)
+	}
+	switch state {
+	case statePending:
+		c.nPending++
+		c.firstPending = min(c.firstPending, idx)
+	case stateLeased:
+		i, _ := slices.BinarySearch(c.leased, idx)
+		c.leased = slices.Insert(c.leased, i, idx)
+	}
+	st.state = state
 }
 
 // dropWorker unregisters a worker and requeues everything it still held
@@ -713,7 +800,7 @@ func (c *Coordinator) dropWorker(w *remoteWorker, reason string) {
 	}
 	sort.Ints(held)
 	for _, idx := range held {
-		st := c.scen[idx]
+		st := &c.scen[idx]
 		delete(st.holders, w.name)
 		if st.state == stateLeased && len(st.holders) == 0 {
 			c.requeueLocked(idx, w.name, fmt.Sprintf("worker %s lost: %s", w.name, reason))
@@ -732,32 +819,22 @@ func (c *Coordinator) dropWorker(w *remoteWorker, reason string) {
 }
 
 // sweep is the scheduler pass: expire overdue leases, clear exclusion
-// sets that would deadlock a scenario, grant pending work to free slots,
-// and — once nothing is pending — steal the longest-held leases for idle
-// workers. Frames are sent after the lock is released.
+// sets that would deadlock a scenario, grant pending work to workers with
+// room in their window, and — once nothing is pending — steal the
+// longest-held leases for idle slots. Frames are sent after the lock is
+// released, each worker's in one write.
 func (c *Coordinator) sweep(now time.Time) {
-	type grant struct {
-		w     *remoteWorker
-		lease *Lease
-	}
-	var grants []grant
-
 	c.mu.Lock()
 	if c.finished {
 		c.mu.Unlock()
 		return
 	}
-	for c.scanFrom < len(c.scen) && c.scen[c.scanFrom].state == stateDone {
-		c.scanFrom++
-	}
-	// 1. Expire lease holders whose deadline passed without a heartbeat;
-	// the scenario requeues only when its last holder expires. Leased
-	// scenarios are never below scanFrom (done is permanent).
-	for idx := c.scanFrom; idx < len(c.scen); idx++ {
-		st := c.scen[idx]
-		if st.state != stateLeased {
-			continue
-		}
+	// 1. Expire lease holders whose deadline passed without a heartbeat,
+	// in index order; the scenario requeues only when its last holder
+	// expires, which also takes it out of c.leased.
+	for i := 0; i < len(c.leased); {
+		idx := c.leased[i]
+		st := &c.scen[idx]
 		lastExpired := ""
 		for name, h := range st.holders {
 			if now.After(h.deadline) {
@@ -772,103 +849,116 @@ func (c *Coordinator) sweep(now time.Time) {
 		if len(st.holders) == 0 && lastExpired != "" {
 			c.requeueLocked(idx, lastExpired, fmt.Sprintf("lease expired on worker %s", lastExpired))
 		}
+		if st.state == stateLeased {
+			i++
+		}
 	}
-	// 2. Grant pending scenarios to workers with free slots. Workers are
-	// visited in name order purely for reproducible logs; artifacts do not
-	// depend on placement. With every slot occupied there is nothing to
-	// grant or steal, so the scans are skipped entirely.
-	names := make([]string, 0, len(c.workers))
-	totalFree := 0
-	for name, w := range c.workers {
-		names = append(names, name)
-		totalFree += w.free()
+	// 2. Grant pending scenarios, lowest index first, to workers with room
+	// in their window. Workers are visited in name order purely for
+	// reproducible logs; artifacts do not depend on placement. With every
+	// window full there is nothing to grant, so the scan is skipped.
+	workers := make([]*remoteWorker, 0, len(c.workers))
+	for _, w := range c.workers {
+		workers = append(workers, w)
 	}
-	sort.Strings(names)
-	pending := 0
-	for idx := c.scanFrom; idx < len(c.scen) && totalFree > 0; idx++ {
-		st := c.scen[idx]
+	slices.SortFunc(workers, func(a, b *remoteWorker) int { return strings.Compare(a.name, b.name) })
+	room := make([]int, len(workers))
+	leases := make([][]*Frame, len(workers))
+	totalRoom := 0
+	for i, w := range workers {
+		room[i] = max(0, c.windowLocked(w.slots)-len(w.leases))
+		totalRoom += room[i]
+	}
+	for c.firstPending < len(c.scen) && c.scen[c.firstPending].state != statePending {
+		c.firstPending++
+	}
+	unseen, granted := c.nPending, 0
+	for idx := c.firstPending; idx < len(c.scen) && unseen > 0 && totalRoom > 0; idx++ {
+		st := &c.scen[idx]
 		if st.state != statePending {
 			continue
 		}
-		pending++
+		unseen--
 		if now.Before(st.notBefore) {
 			continue
 		}
 		// A scenario every connected worker is excluded from would wait
 		// forever; give it a fresh chance anywhere.
-		if len(c.workers) > 0 && c.allExcludedLocked(st) {
-			st.excluded = make(map[string]bool)
+		if c.allExcludedLocked(st) {
+			st.excluded = nil
 		}
-		for _, name := range names {
-			w := c.workers[name]
-			if w.free() <= 0 || st.excluded[name] {
+		for i, w := range workers {
+			if room[i] == 0 || st.excluded[w.name] {
 				continue
 			}
-			st.state = stateLeased
+			c.setState(idx, stateLeased)
 			st.holders = map[string]*leaseHold{
-				name: {deadline: now.Add(c.cfg.LeaseTTL), granted: now},
+				w.name: {deadline: now.Add(c.cfg.LeaseTTL), granted: now},
 			}
 			st.grants++
 			w.leases[idx] = true
 			if c.cfg.Journal != nil {
-				c.cfg.Journal.Granted(idx, name, st.grants, false)
+				c.cfg.Journal.Granted(idx, w.name, st.grants, false)
 			}
-			grants = append(grants, grant{w: w, lease: &Lease{Scenario: st.sc, Grant: st.grants}})
-			pending--
-			totalFree--
+			leases[i] = append(leases[i], &Frame{Type: FrameLease, Lease: &Lease{Scenario: st.sc, Grant: st.grants}})
+			room[i]--
+			totalRoom--
+			granted++
 			break
 		}
 	}
 	// 3. Work stealing: the pending queue has drained but slots are idle —
-	// re-grant the longest-held leases, oldest first, within the budget.
+	// re-grant the longest-held leases, oldest first, within the budget. A
+	// duplicate is worth running only at once, so a steal goes to a free
+	// slot, never into a worker's queue.
 	stolen := 0
-	if c.cfg.StealBudget > 0 && pending == 0 {
-		for _, name := range names {
-			w := c.workers[name]
-			for w.free() > 0 {
-				idx := c.stealCandidateLocked(name, now)
+	if c.cfg.StealBudget > 0 && c.nPending == 0 {
+		for i, w := range workers {
+			for len(w.leases) < w.slots {
+				idx := c.stealCandidateLocked(w.name, now)
 				if idx < 0 {
 					break
 				}
-				st := c.scen[idx]
+				st := &c.scen[idx]
 				st.steals++
-				st.holders[name] = &leaseHold{deadline: now.Add(c.cfg.LeaseTTL), granted: now, steal: true}
+				st.holders[w.name] = &leaseHold{deadline: now.Add(c.cfg.LeaseTTL), granted: now, steal: true}
 				w.leases[idx] = true
 				stolen++
 				if c.cfg.Journal != nil {
-					c.cfg.Journal.Granted(idx, name, st.grants, true)
+					c.cfg.Journal.Granted(idx, w.name, st.grants, true)
 				}
-				grants = append(grants, grant{w: w, lease: &Lease{Scenario: st.sc, Grant: st.grants, Steal: true}})
+				leases[i] = append(leases[i], &Frame{Type: FrameLease, Lease: &Lease{Scenario: st.sc, Grant: st.grants, Steal: true}})
 			}
 		}
 	}
-	leases := 0
-	for _, w := range c.workers {
-		leases += len(w.leases)
+	held := 0
+	for _, w := range workers {
+		held += len(w.leases)
 	}
-	c.gaugeLeases.Set(int64(leases))
+	c.gaugeLeases.Set(int64(held))
 	remaining := c.remaining
 	c.mu.Unlock()
 	// Expiry above may have exhausted the last scenario's requeue budget.
 	if remaining == 0 {
 		c.signalDone()
 	}
-	if stolen > 0 {
-		c.ctrStolen.Add(uint64(stolen))
-	}
+	c.ctrLeased.Add(uint64(granted))
+	c.ctrStolen.Add(uint64(stolen))
 
-	for _, g := range grants {
-		if !g.lease.Steal {
-			c.ctrLeased.Inc()
-		}
-		c.cfg.Telemetry.Emit(telemetry.Event{
-			Layer: telemetry.LayerGrid, Kind: telemetry.KindLease,
-			Node: g.w.name, Detail: fmt.Sprintf("%s grant=%d steal=%v", g.lease.Scenario.Name, g.lease.Grant, g.lease.Steal)})
-		if err := g.w.conn.write(&Frame{Type: FrameLease, Lease: g.lease}); err != nil {
-			// The reader goroutine will see the dead connection and
-			// requeue; nothing to do here.
+	for i, w := range workers {
+		if len(leases[i]) == 0 {
 			continue
 		}
+		if c.cfg.Telemetry.Enabled() {
+			for _, f := range leases[i] {
+				c.cfg.Telemetry.Emit(telemetry.Event{
+					Layer: telemetry.LayerGrid, Kind: telemetry.KindLease,
+					Node: w.name, Detail: fmt.Sprintf("%s grant=%d steal=%v", f.Lease.Scenario.Name, f.Lease.Grant, f.Lease.Steal)})
+			}
+		}
+		// A failed write needs no handling here: the worker's reader
+		// goroutine sees the dead connection and requeues.
+		_ = w.conn.write(leases[i]...)
 	}
 }
 
@@ -880,9 +970,9 @@ func (c *Coordinator) sweep(now time.Time) {
 func (c *Coordinator) stealCandidateLocked(name string, now time.Time) int {
 	best := -1
 	var bestGrant time.Time
-	for idx := c.scanFrom; idx < len(c.scen); idx++ {
-		st := c.scen[idx]
-		if st.state != stateLeased || st.excluded[name] || st.steals >= c.cfg.StealBudget {
+	for _, idx := range c.leased {
+		st := &c.scen[idx]
+		if st.excluded[name] || st.steals >= c.cfg.StealBudget {
 			continue
 		}
 		if _, holding := st.holders[name]; holding {
@@ -899,9 +989,12 @@ func (c *Coordinator) stealCandidateLocked(name string, now time.Time) int {
 	return best
 }
 
-// allExcludedLocked reports whether every connected worker is excluded
-// from st. Called with c.mu held.
+// allExcludedLocked reports whether workers are connected and every one of
+// them is excluded from st. Called with c.mu held.
 func (c *Coordinator) allExcludedLocked(st *scenState) bool {
+	if len(st.excluded) == 0 || len(c.workers) == 0 {
+		return false
+	}
 	for name := range c.workers {
 		if !st.excluded[name] {
 			return false
@@ -917,14 +1010,14 @@ func (c *Coordinator) allExcludedLocked(st *scenState) bool {
 // is recorded failed — the campaign still completes with a full result
 // set. Called with c.mu held.
 func (c *Coordinator) requeueLocked(idx int, worker, reason string) {
-	st := c.scen[idx]
+	st := &c.scen[idx]
 	if st.state != stateLeased {
 		return
 	}
-	st.excluded[worker] = true
+	st.exclude(worker)
+	st.holders = nil
 	if st.grants > c.cfg.Requeues {
-		st.state = stateDone
-		st.holders = nil
+		c.setState(idx, stateDone)
 		res := campaign.ScenarioResult{
 			Scenario: st.sc,
 			Status:   campaign.StatusFailed,
@@ -944,13 +1037,14 @@ func (c *Coordinator) requeueLocked(idx int, worker, reason string) {
 			c.cfg.Journal.Completed(idx, campaign.StatusFailed)
 		}
 		c.ctrFailed.Inc()
-		c.cfg.Telemetry.Emit(telemetry.Event{
-			Layer: telemetry.LayerGrid, Kind: telemetry.KindResult,
-			Node: worker, Detail: fmt.Sprintf("%s status=failed: %s", st.sc.Name, reason)})
+		if c.cfg.Telemetry.Enabled() {
+			c.cfg.Telemetry.Emit(telemetry.Event{
+				Layer: telemetry.LayerGrid, Kind: telemetry.KindResult,
+				Node: worker, Detail: fmt.Sprintf("%s status=failed: %s", st.sc.Name, reason)})
+		}
 		return
 	}
-	st.state = statePending
-	st.holders = nil
+	c.setState(idx, statePending)
 	shift := st.grants - 1
 	if shift < 0 {
 		shift = 0
@@ -963,9 +1057,11 @@ func (c *Coordinator) requeueLocked(idx int, worker, reason string) {
 		c.cfg.Journal.Requeued(idx, worker, st.grants, false)
 	}
 	c.ctrRequeued.Inc()
-	c.cfg.Telemetry.Emit(telemetry.Event{
-		Layer: telemetry.LayerGrid, Kind: telemetry.KindRequeue,
-		Node: worker, Detail: fmt.Sprintf("%s grant=%d: %s", st.sc.Name, st.grants, reason)})
+	if c.cfg.Telemetry.Enabled() {
+		c.cfg.Telemetry.Emit(telemetry.Event{
+			Layer: telemetry.LayerGrid, Kind: telemetry.KindRequeue,
+			Node: worker, Detail: fmt.Sprintf("%s grant=%d: %s", st.sc.Name, st.grants, reason)})
+	}
 }
 
 // signalDone closes the done channel exactly once.

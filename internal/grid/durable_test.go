@@ -640,7 +640,8 @@ func TestWorkerFlushWithoutConnRestashes(t *testing.T) {
 		Scenario: campaign.Scenario{Index: 3, Name: "stash-me"},
 		Status:   campaign.StatusOK,
 	}
-	w.deliver(res) // no connection: batch flushes (idle) and restashes
+	w.deliver(res) // nothing queued behind it: a flush is due
+	w.flush()      // (the flusher's part) no connection: restashes
 	w.mu.Lock()
 	stashed := len(w.stash)
 	batched := len(w.batch)
@@ -654,6 +655,7 @@ func TestWorkerFlushWithoutConnRestashes(t *testing.T) {
 		Scenario: campaign.Scenario{Index: 4, Name: "stash-too"},
 		Status:   campaign.StatusOK,
 	})
+	w.flush()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if len(w.stash) != 2 || w.stash[0].Scenario.Index != 3 || w.stash[1].Scenario.Index != 4 {

@@ -22,10 +22,10 @@ type FrameType string
 // LEASE/RESULT/RESULT_BATCH move work, HEARTBEAT keeps leases alive, DONE
 // tells a worker the campaign is complete, BYE closes either side cleanly.
 const (
-	FrameHello     FrameType = "hello"
-	FrameWelcome   FrameType = "welcome"
-	FrameLease     FrameType = "lease"
-	FrameResult    FrameType = "result"
+	FrameHello   FrameType = "hello"
+	FrameWelcome FrameType = "welcome"
+	FrameLease   FrameType = "lease"
+	FrameResult  FrameType = "result"
 	// FrameResultBatch carries several completed scenarios in one frame,
 	// gzip-compressed, so large campaigns stream results without paying
 	// one JSON frame per scenario.
@@ -55,7 +55,8 @@ type Hello struct {
 	// Worker names the worker for lease bookkeeping and logs; the
 	// coordinator de-duplicates collisions with the remote address.
 	Worker string `json:"worker"`
-	// Slots is how many scenarios the worker runs in parallel (≥1).
+	// Slots is how many scenarios the worker executes at once (≥1). The
+	// coordinator may lease it more than that; it queues the surplus.
 	Slots int `json:"slots"`
 	// Resume marks a reconnect: the worker presents a name it used on an
 	// earlier connection and asks to re-adopt any leases still registered
@@ -113,10 +114,20 @@ type ResultBatch struct {
 	Records []byte `json:"records"`
 }
 
+// The batch codec's compressors are pooled: a gzip.Writer owns a ~1 MB
+// deflate state, so building one per flush costs more than compressing a
+// batch does. Reset rebinds a pooled one to the next payload.
+var (
+	gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+	gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
+)
+
 // EncodeResultBatch packs results into a compressed batch payload.
 func EncodeResultBatch(results []campaign.ScenarioResult) (*ResultBatch, error) {
 	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
+	zw := gzipWriters.Get().(*gzip.Writer)
+	defer gzipWriters.Put(zw)
+	zw.Reset(&buf)
 	enc := json.NewEncoder(zw)
 	for i := range results {
 		if err := enc.Encode(&results[i]); err != nil {
@@ -131,11 +142,14 @@ func EncodeResultBatch(results []campaign.ScenarioResult) (*ResultBatch, error) 
 
 // Decode unpacks the batch, validating the record count against Count.
 func (b *ResultBatch) Decode() ([]campaign.ScenarioResult, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(b.Records))
-	if err != nil {
+	zr := gzipReaders.Get().(*gzip.Reader)
+	defer gzipReaders.Put(zr)
+	if err := zr.Reset(bytes.NewReader(b.Records)); err != nil {
 		return nil, fmt.Errorf("grid: decompress result batch: %w", err)
 	}
-	out := make([]campaign.ScenarioResult, 0, b.Count)
+	// Count comes off the wire: it sizes the slice only within what the
+	// payload could hold, and is checked against the records below.
+	out := make([]campaign.ScenarioResult, 0, max(0, min(b.Count, len(b.Records))))
 	dec := json.NewDecoder(zr)
 	for {
 		var res campaign.ScenarioResult
@@ -157,9 +171,9 @@ func (b *ResultBatch) Decode() ([]campaign.ScenarioResult, error) {
 
 // Heartbeat refreshes the sender's leases.
 type Heartbeat struct {
-	// Busy lists the scenario indices the worker is currently executing;
-	// only those leases are refreshed, so a worker that lost track of a
-	// scenario lets its lease lapse naturally.
+	// Busy lists the scenario indices the worker holds, executing or
+	// queued; only those leases are refreshed, so a worker that lost track
+	// of a scenario lets its lease lapse naturally.
 	Busy []int `json:"busy,omitempty"`
 }
 
@@ -170,43 +184,71 @@ type Bye struct {
 
 // frameConn wraps a TCP connection with the length-prefixed JSON frame
 // codec, a write mutex (leases, heartbeats, and results are sent from
-// different goroutines), and frame counters.
+// different goroutines), and frame counters. Reads come from one goroutine
+// per connection, which is what lets body be reused between frames.
 type frameConn struct {
 	c    net.Conn
 	r    *bufio.Reader
+	body []byte
 	wmu  sync.Mutex
 	sent *telemetry.Counter
 	recv *telemetry.Counter
 }
 
+const (
+	// readBuffer holds a whole burst of LEASE frames (a full window is
+	// about 128 frames of ~400 bytes), so the reader can tell a burst is
+	// still arriving from buffered() without another read(2).
+	readBuffer = 64 << 10
+	// keepBuffer is the largest frame buffer kept for reuse; a rare giant
+	// frame (a traced outcome) is not worth pinning.
+	keepBuffer = 1 << 20
+)
+
+// frameBufs holds encode buffers for write.
+var frameBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 func newFrameConn(c net.Conn, tel *telemetry.Telemetry) *frameConn {
 	return &frameConn{
 		c:    c,
-		r:    bufio.NewReader(c),
+		r:    bufio.NewReaderSize(c, readBuffer),
 		sent: tel.Counter("grid.frames_sent"),
 		recv: tel.Counter("grid.frames_received"),
 	}
 }
 
-// write encodes and sends one frame, atomically with respect to other
-// writers on the same connection.
-func (fc *frameConn) write(f *Frame) error {
-	body, err := json.Marshal(f)
-	if err != nil {
-		return fmt.Errorf("grid: encode %s frame: %w", f.Type, err)
+// write encodes frames back to back and sends them in one Write,
+// atomically with respect to other writers on the same connection. Each
+// frame is encoded straight into a pooled buffer behind a placeholder
+// length prefix that is patched once the body's size is known.
+func (fc *frameConn) write(frames ...*Frame) error {
+	buf := frameBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= keepBuffer {
+			buf.Reset()
+			frameBufs.Put(buf)
+		}
+	}()
+	enc := json.NewEncoder(buf)
+	for _, f := range frames {
+		hdr := buf.Len()
+		buf.Write([]byte{0, 0, 0, 0})
+		if err := enc.Encode(f); err != nil {
+			return fmt.Errorf("grid: encode %s frame: %w", f.Type, err)
+		}
+		buf.Truncate(buf.Len() - 1) // Encode's trailing newline is not part of the body
+		n := buf.Len() - hdr - 4
+		if n > MaxFrame {
+			return fmt.Errorf("grid: %s frame exceeds %d bytes", f.Type, MaxFrame)
+		}
+		binary.BigEndian.PutUint32(buf.Bytes()[hdr:], uint32(n))
 	}
-	if len(body) > MaxFrame {
-		return fmt.Errorf("grid: %s frame exceeds %d bytes", f.Type, MaxFrame)
-	}
-	buf := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(buf, uint32(len(body)))
-	copy(buf[4:], body)
 	fc.wmu.Lock()
 	defer fc.wmu.Unlock()
-	if _, err := fc.c.Write(buf); err != nil {
-		return fmt.Errorf("grid: write %s frame: %w", f.Type, err)
+	if _, err := fc.c.Write(buf.Bytes()); err != nil {
+		return fmt.Errorf("grid: write %s frame: %w", frames[0].Type, err)
 	}
-	fc.sent.Inc()
+	fc.sent.Add(uint64(len(frames)))
 	return nil
 }
 
@@ -220,14 +262,24 @@ func (fc *frameConn) read() (*Frame, error) {
 		}
 		return nil, fmt.Errorf("grid: read frame header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n == 0 || n > MaxFrame {
 		return nil, fmt.Errorf("grid: frame length %d out of range (max %d)", n, MaxFrame)
 	}
-	body := make([]byte, n)
+	body := fc.body
+	switch {
+	case n > keepBuffer:
+		body = make([]byte, n)
+	case cap(body) < n:
+		body = make([]byte, n+n/2) // result batches vary in size; do not regrow for each
+		fc.body = body
+	}
+	body = body[:n]
 	if _, err := io.ReadFull(fc.r, body); err != nil {
 		return nil, fmt.Errorf("grid: read frame body: %w", err)
 	}
+	// Unmarshal copies every string and byte slice out of body, so the
+	// frame does not alias the buffer the next read overwrites.
 	var f Frame
 	if err := json.Unmarshal(body, &f); err != nil {
 		return nil, fmt.Errorf("grid: decode frame: %w", err)
@@ -238,5 +290,9 @@ func (fc *frameConn) read() (*Frame, error) {
 	fc.recv.Inc()
 	return &f, nil
 }
+
+// buffered reports whether bytes of a further frame have already arrived.
+// Only the reading goroutine may call it.
+func (fc *frameConn) buffered() bool { return fc.r.Buffered() > 0 }
 
 func (fc *frameConn) close() error { return fc.c.Close() }

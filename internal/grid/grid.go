@@ -4,7 +4,13 @@
 // frame protocol (HELLO/WELCOME/LEASE/RESULT/HEARTBEAT/DONE/BYE).
 //
 // Work is handed out under leases: a scenario granted to a worker carries
-// a deadline that the worker's periodic heartbeats refresh. When a worker
+// a deadline that the worker's periodic heartbeats refresh. A worker
+// executes at most its slot count of scenarios at once and may hold more
+// leases than that, queued: the coordinator sizes each worker's window
+// from the scenario durations workers report (refillTarget), so
+// sub-millisecond scenarios keep a queue on every worker and the campaign
+// runs at the coordinator's pace, while scenarios of a few milliseconds or
+// more — every real one — are leased one per slot. When a worker
 // dies (connection drop) or stalls (lease deadline passes without a
 // heartbeat claiming the scenario), its scenarios are requeued — with the
 // offending worker excluded and the campaign's retry backoff, jittered by
@@ -14,8 +20,10 @@
 //
 // Completed results stream back over the same connection — one RESULT
 // frame per scenario, or gzip-compressed RESULT_BATCH frames when the
-// worker batches (WorkerConfig.BatchResults) — and land in the existing
-// index-ordered campaign.Store, so a grid run's results.jsonl
+// worker batches (WorkerConfig.BatchResults; a flush is due on a full
+// batch or as soon as a slot has nothing queued to move on to) — and the
+// coordinator applies a frame's results in one scheduler pass. They land
+// in the existing index-ordered campaign.Store, so a grid run's results.jsonl
 // (canonicalized) and CSV aggregates are byte-identical to a
 // single-process attain-campaign run with the same seed: scenario seeds
 // are derived from names by the matrix, the store orders records by index
@@ -57,8 +65,10 @@ const (
 	// ProtoVersion is bumped on incompatible frame changes; HELLO/WELCOME
 	// carry it and mismatches are rejected at handshake. Version 2 added
 	// RESULT_BATCH frames plus the Resume/Steal handshake and lease
-	// extensions.
-	ProtoVersion = 2
+	// extensions. Version 3 changed no frame but what Hello.Slots bounds:
+	// the scenarios a worker executes at once, no longer the leases it is
+	// sent. A v2 worker would start every lease of a v3 window at once.
+	ProtoVersion = 3
 	// MaxFrame bounds a single frame body (a RESULT carries the scenario
 	// outcome plus its optional telemetry trace).
 	MaxFrame = 32 << 20

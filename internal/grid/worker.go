@@ -20,12 +20,18 @@ type WorkerConfig struct {
 	// reconnects — it is the key under which the coordinator re-adopts
 	// leases when RunLoop re-HELLOs with Resume.
 	Name string
-	// Slots is how many scenarios run in parallel (default 1).
+	// Slots is how many scenarios execute at once (default 1). It does
+	// not bound how many leases the worker holds: the coordinator may
+	// grant more than Slots when scenarios are short (see refillTarget),
+	// and the surplus waits in the worker's queue.
 	Slots int
 	// BatchResults > 1 batches completed scenarios into gzip-compressed
-	// RESULT_BATCH frames, flushed when the batch fills or at each
-	// heartbeat, instead of one RESULT frame per scenario. 0 or 1 keeps
-	// the per-scenario frames.
+	// RESULT_BATCH frames instead of one RESULT frame per scenario. A
+	// flush is due when that many results are batched, when a slot
+	// finishes a scenario and finds no lease queued behind it (the
+	// coordinator refills on results, so a result must not wait while its
+	// slot idles), and at each heartbeat; it sends whatever is batched by
+	// the time it runs. 0 or 1 keeps the per-scenario frames.
 	BatchResults int
 	// Reconnect is RunLoop's base backoff between reconnect attempts
 	// (default 100 ms, doubling per failure up to 2 s).
@@ -42,11 +48,13 @@ type WorkerConfig struct {
 }
 
 // Worker connects to a coordinator, executes leased scenarios with the
-// campaign runner policy, and streams results back. State that must
-// survive a reconnect — the worker's name, the set of in-flight scenario
-// indices, and any results the dead connection failed to deliver — lives
-// on the struct, so RunLoop can resume exactly where the lost connection
-// left off.
+// campaign runner policy, and streams results back. Leases wait in a FIFO
+// that Slots goroutines drain, so the worker executes at most Slots
+// scenarios at once however many it holds. State that must survive a
+// reconnect — the worker's name, the queued and executing scenarios, and
+// any results the dead connection failed to deliver — lives on the
+// struct, so RunLoop can resume exactly where the lost connection left
+// off.
 type Worker struct {
 	cfg WorkerConfig
 
@@ -54,12 +62,22 @@ type Worker struct {
 	name string
 	// fc is the live connection; nil while disconnected. Results finished
 	// during a disconnect stash until the next flush.
-	fc    *frameConn
-	busy  map[int]bool
-	batch []campaign.ScenarioResult
-	stash []campaign.ScenarioResult
-
-	inflight sync.WaitGroup
+	fc *frameConn
+	// queue holds the leases no slot has started yet; busy is every index
+	// held, queued or executing (what heartbeats claim). runner carries
+	// the policy of the latest WELCOME.
+	queue   []*Lease
+	busy    map[int]bool
+	runner  *campaign.Runner
+	stopped bool
+	wake    *sync.Cond // queue or stopped changed; tied to mu
+	batch   []campaign.ScenarioResult
+	stash   []campaign.ScenarioResult
+	// flushDue asks the flusher goroutine for a flush. One pending request
+	// covers every result batched before the flusher gets to it, which is
+	// what folds the results of slots finishing microseconds apart into
+	// one frame without a timer.
+	flushDue chan struct{}
 
 	ctrLeases     *telemetry.Counter
 	ctrResults    *telemetry.Counter
@@ -73,7 +91,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
 	}
-	return &Worker{
+	w := &Worker{
 		cfg:           cfg,
 		busy:          make(map[int]bool),
 		ctrLeases:     cfg.Telemetry.Counter("grid.worker.leases_received"),
@@ -82,6 +100,97 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		ctrHeartbeats: cfg.Telemetry.Counter("grid.worker.heartbeats_sent"),
 		ctrReconnects: cfg.Telemetry.Counter("grid.worker.reconnects"),
 	}
+	w.wake = sync.NewCond(&w.mu)
+	w.flushDue = make(chan struct{}, 1)
+	return w
+}
+
+// start launches the Slots goroutines that drain the lease queue and the
+// flusher that sends their results, and returns the function that stops
+// them: it drops whatever is still queued (undelivered work is the
+// coordinator's to re-grant) and returns once the scenarios already
+// executing have finished.
+func (w *Worker) start(ctx context.Context) (stop func()) {
+	quit := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1 + w.cfg.Slots)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-w.flushDue:
+				w.flush()
+			case <-quit:
+				return
+			}
+		}
+	}()
+	for i := 0; i < w.cfg.Slots; i++ {
+		go func() {
+			defer wg.Done()
+			w.slot(ctx)
+		}()
+	}
+	return func() {
+		w.mu.Lock()
+		w.stopped = true
+		for _, l := range w.queue {
+			delete(w.busy, l.Scenario.Index)
+		}
+		w.queue = nil
+		w.wake.Broadcast()
+		w.mu.Unlock()
+		close(quit)
+		wg.Wait()
+	}
+}
+
+// slot executes queued scenarios one at a time until the worker stops.
+func (w *Worker) slot(ctx context.Context) {
+	for {
+		w.mu.Lock()
+		for len(w.queue) == 0 && !w.stopped {
+			w.wake.Wait()
+		}
+		if w.stopped {
+			w.mu.Unlock()
+			return
+		}
+		sc := w.queue[0].Scenario
+		w.queue = w.queue[1:]
+		runner := w.runner
+		w.mu.Unlock()
+
+		res := runner.RunScenario(ctx, sc)
+		if w.cfg.Progress != nil {
+			fmt.Fprintf(w.cfg.Progress, "%-7s %-40s %8s\n",
+				res.Status, sc.Name, res.Duration.Round(time.Millisecond))
+		}
+		w.deliver(res)
+	}
+}
+
+// enqueue hands a burst of leases to the slots. A scenario the worker
+// already holds — a lease replayed across a reconnect, or a steal grant
+// landing on the original holder — is dropped: running it twice here wins
+// nothing.
+func (w *Worker) enqueue(leases []*Lease) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, l := range leases {
+		if w.busy[l.Scenario.Index] {
+			continue
+		}
+		w.busy[l.Scenario.Index] = true
+		w.queue = append(w.queue, l)
+		w.ctrLeases.Inc()
+		if w.cfg.Telemetry.Enabled() {
+			w.cfg.Telemetry.Emit(telemetry.Event{
+				Layer: telemetry.LayerGrid, Kind: telemetry.KindLease,
+				Node: w.name, Detail: fmt.Sprintf("%s grant=%d steal=%v", l.Scenario.Name, l.Grant, l.Steal)})
+		}
+	}
+	w.wake.Broadcast()
 }
 
 // Run dials the coordinator and works until the campaign completes (DONE),
@@ -89,7 +198,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 // returns nil; transport failures return the underlying error so callers
 // can decide whether to reconnect (or use RunLoop, which does).
 func (w *Worker) Run(ctx context.Context, addr string) error {
-	defer w.inflight.Wait()
+	defer w.start(ctx)()
 	_, err := w.run(ctx, addr, false)
 	return err
 }
@@ -98,11 +207,12 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 // connection is lost, the worker re-dials with backoff and re-HELLOs with
 // Resume set, so the coordinator transfers the previous connection's
 // leases instead of letting them expire; heartbeats then re-claim every
-// in-flight scenario and stashed results are re-delivered. Returns nil
+// queued or executing scenario and stashed results are re-delivered. The
+// slots keep draining the queue while the connection is down. Returns nil
 // when the campaign completes, the coordinator's rejection for terminal
 // handshake failures, or ctx's error once cancelled.
 func (w *Worker) RunLoop(ctx context.Context, addr string) error {
-	defer w.inflight.Wait()
+	defer w.start(ctx)()
 	backoff := w.cfg.Reconnect
 	if backoff <= 0 {
 		backoff = 100 * time.Millisecond
@@ -179,12 +289,11 @@ func (w *Worker) run(ctx context.Context, addr string, resume bool) (done bool, 
 		return true, fmt.Errorf("grid: protocol mismatch in welcome")
 	}
 
-	runner := campaign.NewRunner(w.applyPolicy(welcome))
-
-	// Adopt the connection, then re-deliver anything the previous one
-	// failed to send.
+	// Adopt the connection and the campaign's policy, then re-deliver
+	// anything the previous connection failed to send.
 	w.mu.Lock()
 	w.fc = fc
+	w.runner = campaign.NewRunner(w.applyPolicy(welcome))
 	w.mu.Unlock()
 	defer func() {
 		w.mu.Lock()
@@ -233,6 +342,11 @@ func (w *Worker) run(ctx context.Context, addr string, resume bool) (done bool, 
 		}
 	}()
 
+	// Leases are queued a burst at a time: the coordinator writes a sweep's
+	// grants to one worker in one go, and handing them to the slots one by
+	// one would let a slot outrun the decoder, find the queue empty after
+	// every scenario, and flush result batches of one or two.
+	var burst []*Lease
 	for {
 		f, err := fc.read()
 		if err != nil {
@@ -243,34 +357,9 @@ func (w *Worker) run(ctx context.Context, addr string, resume bool) (done bool, 
 		}
 		switch f.Type {
 		case FrameLease:
-			if f.Lease == nil {
-				continue
+			if f.Lease != nil {
+				burst = append(burst, f.Lease)
 			}
-			sc := f.Lease.Scenario
-			w.mu.Lock()
-			if w.busy[sc.Index] {
-				// Already executing this scenario — a lease replayed
-				// across a reconnect, or a steal grant landing on the
-				// original holder. Running it twice here wins nothing.
-				w.mu.Unlock()
-				continue
-			}
-			w.busy[sc.Index] = true
-			w.mu.Unlock()
-			w.ctrLeases.Inc()
-			w.cfg.Telemetry.Emit(telemetry.Event{
-				Layer: telemetry.LayerGrid, Kind: telemetry.KindLease,
-				Node: name, Detail: fmt.Sprintf("%s grant=%d steal=%v", sc.Name, f.Lease.Grant, f.Lease.Steal)})
-			w.inflight.Add(1)
-			go func() {
-				defer w.inflight.Done()
-				res := runner.RunScenario(ctx, sc)
-				if w.cfg.Progress != nil {
-					fmt.Fprintf(w.cfg.Progress, "%-7s %-40s %8s\n",
-						res.Status, sc.Name, res.Duration.Round(time.Millisecond))
-				}
-				w.deliver(res)
-			}()
 		case FrameDone:
 			w.flush()
 			fc.write(&Frame{Type: FrameBye, Bye: &Bye{Reason: "campaign complete"}})
@@ -280,26 +369,34 @@ func (w *Worker) run(ctx context.Context, addr string, resume bool) (done bool, 
 		default:
 			// Ignore unknown frames for forward compatibility.
 		}
+		if len(burst) > 0 && !fc.buffered() {
+			w.enqueue(burst)
+			burst = burst[:0]
+		}
 	}
 }
 
 // deliver hands one finished scenario to the coordinator: batched when
-// batching is on, as a single RESULT frame otherwise. Results that cannot
-// be sent (no connection, write failure) stash for the next flush — after
-// a reconnect, nothing is lost.
+// batching is on (the flusher sends it), as a single RESULT frame
+// otherwise. Results that cannot be sent (no connection, write failure)
+// stash for the next flush — after a reconnect, nothing is lost.
 func (w *Worker) deliver(res campaign.ScenarioResult) {
 	w.mu.Lock()
 	delete(w.busy, res.Scenario.Index)
 	if w.cfg.BatchResults > 1 {
 		w.batch = append(w.batch, res)
-		// Flush on a full batch — or as soon as nothing is left running:
-		// the coordinator refills slots only when results land, so sitting
-		// on a partial batch while idle would deadlock throughput against
-		// the coordinator's lease accounting until the next heartbeat.
-		full := len(w.batch) >= w.cfg.BatchResults || len(w.busy) == 0
+		// A flush is due on a full batch — or when this slot has nothing
+		// queued to move on to: the coordinator counts the lease until its
+		// result lands and refills only then, so holding the result back
+		// would idle the slot until a sibling finishes or the next
+		// heartbeat.
+		due := len(w.batch) >= w.cfg.BatchResults || len(w.queue) == 0
 		w.mu.Unlock()
-		if full {
-			w.flush()
+		if due {
+			select {
+			case w.flushDue <- struct{}{}:
+			default: // already requested
+			}
 		}
 		return
 	}
@@ -366,6 +463,9 @@ func (w *Worker) restash(pending []campaign.ScenarioResult) {
 }
 
 func (w *Worker) emitResult(res campaign.ScenarioResult) {
+	if !w.cfg.Telemetry.Enabled() {
+		return
+	}
 	w.cfg.Telemetry.Emit(telemetry.Event{
 		Layer: telemetry.LayerGrid, Kind: telemetry.KindResult,
 		Node: w.name, Detail: fmt.Sprintf("%s status=%s", res.Scenario.Name, res.Status)})

@@ -103,21 +103,25 @@ type Campaign struct {
 	id   string
 	dir  string
 	spec *campaign.Spec
-	tel  *telemetry.Telemetry
-	co   *grid.Coordinator
 	addr string
 
 	started time.Time
 	done    chan struct{}
 
-	mu     sync.Mutex
-	state  State
-	report *campaign.Report
-	err    error
-	// total/completed back Status for loaded (not running) campaigns.
-	total     int
-	completed int
-	failedNum int
+	mu    sync.Mutex
+	state State
+	err   error
+	// co and tel are set only while the campaign runs. A terminal state
+	// keeps what Status still answers from — the coordinator's last
+	// snapshot, the counters and the elapsed time, as they stood at the
+	// end — and releases the coordinator (scenarios, results, outcomes)
+	// and the telemetry ring, so a long-lived service holds a few hundred
+	// bytes per finished campaign rather than its whole matrix.
+	co       *grid.Coordinator
+	tel      *telemetry.Telemetry
+	final    grid.StatusSnapshot
+	counters map[string]uint64
+	elapsed  time.Duration
 }
 
 // CampaignStatus is the JSON shape of the status endpoints.
@@ -212,7 +216,6 @@ func StartCampaign(id, dir string, spec *campaign.Spec, opts Options, resume boo
 		started: time.Now(),
 		done:    make(chan struct{}),
 		state:   StateRunning,
-		total:   len(scenarios),
 	}
 
 	// In-process workers ride RunLoop: if the coordinator restarts (new
@@ -239,14 +242,13 @@ func StartCampaign(id, dir string, spec *campaign.Spec, opts Options, resume boo
 	}
 
 	go func() {
-		report, err := co.Serve(context.Background(), ln)
+		_, err := co.Serve(context.Background(), ln)
 		cancelWorkers()
 		if jerr := journal.Err(); err == nil && jerr != nil {
 			err = jerr
 		}
 		journal.Close()
 		c.mu.Lock()
-		c.report = report
 		switch {
 		case errors.Is(err, grid.ErrAborted):
 			c.state = StateAborted
@@ -256,10 +258,8 @@ func StartCampaign(id, dir string, spec *campaign.Spec, opts Options, resume boo
 		default:
 			c.state = StateDone
 		}
-		if report != nil {
-			c.completed = len(report.Results)
-			c.failedNum = len(report.Failed())
-		}
+		c.final, c.counters, c.elapsed = co.Status(), tel.Snapshot(), time.Since(c.started)
+		c.co, c.tel = nil, nil
 		c.mu.Unlock()
 		opts.logf("campaign %s: %s", id, c.State())
 		close(c.done)
@@ -277,16 +277,20 @@ func loadCampaign(id, dir string, spec *campaign.Spec, state State, err error) *
 		err:   err,
 	}
 	close(c.done)
-	c.total, c.completed, c.failedNum = countRecords(dir)
+	completed, failed := countRecords(dir)
+	c.final = grid.StatusSnapshot{
+		Campaign: id, Total: completed, Done: completed,
+		Failed: failed, Finished: true,
+	}
 	return c
 }
 
 // countRecords scans results.jsonl for record/failure counts (loaded
 // campaigns only — running ones report live coordinator state).
-func countRecords(dir string) (total, completed, failed int) {
+func countRecords(dir string) (completed, failed int) {
 	f, err := os.Open(filepath.Join(dir, campaign.ResultsFile))
 	if err != nil {
-		return 0, 0, 0
+		return 0, 0
 	}
 	defer f.Close()
 	scan := bufio.NewScanner(f)
@@ -301,7 +305,7 @@ func countRecords(dir string) (total, completed, failed int) {
 			failed++
 		}
 	}
-	return completed, completed, failed
+	return completed, failed
 }
 
 // ID returns the campaign's service-assigned identifier.
@@ -320,14 +324,6 @@ func (c *Campaign) State() State {
 	return c.state
 }
 
-// Report returns the final report (nil until done; nil forever for
-// aborted or loaded campaigns).
-func (c *Campaign) Report() *campaign.Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.report
-}
-
 // Err returns the campaign's terminal error, if any.
 func (c *Campaign) Err() error {
 	c.mu.Lock()
@@ -340,18 +336,25 @@ func (c *Campaign) Err() error {
 // resumes it. Stopping a finished campaign is a no-op. Blocks until the
 // coordinator has shut down.
 func (c *Campaign) Stop() {
-	if c.co != nil {
-		c.co.Abort()
+	c.mu.Lock()
+	co := c.co
+	c.mu.Unlock()
+	if co != nil {
+		co.Abort()
 	}
 	<-c.done
 }
 
-// Status assembles the live status snapshot.
+// Status assembles the status snapshot: live from the coordinator and the
+// telemetry registry while the campaign runs, from what was kept of them
+// once it has ended.
 func (c *Campaign) Status() CampaignStatus {
 	c.mu.Lock()
 	st := CampaignStatus{
-		ID:    c.id,
-		State: c.state,
+		ID:       c.id,
+		State:    c.state,
+		Grid:     c.final,
+		Counters: c.counters,
 	}
 	if c.spec != nil {
 		st.Name = c.spec.Name
@@ -359,30 +362,19 @@ func (c *Campaign) Status() CampaignStatus {
 	if c.err != nil {
 		st.Error = c.err.Error()
 	}
-	total, completed, failed := c.total, c.completed, c.failedNum
+	co, tel, elapsed := c.co, c.tel, c.elapsed
 	c.mu.Unlock()
 
-	if c.co != nil {
-		st.Grid = c.co.Status()
-	} else {
-		st.Grid = grid.StatusSnapshot{
-			Campaign: c.id, Total: total, Done: completed,
-			Failed: failed, Finished: true,
-		}
+	if co != nil {
+		st.Grid, st.Counters, elapsed = co.Status(), tel.Snapshot(), time.Since(c.started)
 	}
 	if st.State == StateRunning {
 		st.GridAddr = c.addr
 	}
-	if c.tel != nil {
-		st.Counters = c.tel.Snapshot()
-	}
-	if !c.started.IsZero() {
-		elapsed := time.Since(c.started)
-		st.ElapsedMS = elapsed.Milliseconds()
-		if secs := elapsed.Seconds(); secs > 0 && st.Counters != nil {
-			st.ResultsPerSec = float64(st.Counters["grid.scenarios_completed"]) / secs
-			st.FramesPerSec = float64(st.Counters["grid.frames_sent"]+st.Counters["grid.frames_received"]) / secs
-		}
+	st.ElapsedMS = elapsed.Milliseconds()
+	if secs := elapsed.Seconds(); secs > 0 && st.Counters != nil {
+		st.ResultsPerSec = float64(st.Counters["grid.scenarios_completed"]) / secs
+		st.FramesPerSec = float64(st.Counters["grid.frames_sent"]+st.Counters["grid.frames_received"]) / secs
 	}
 	return st
 }

@@ -116,7 +116,7 @@ func (s *Service) Submit(data []byte) (*Campaign, error) {
 		return nil, err
 	}
 	s.campaigns[id] = c
-	s.cfg.Options.logf("campaign %s: submitted (%d scenarios)", id, c.total)
+	s.cfg.Options.logf("campaign %s: submitted (%d scenarios)", id, c.Status().Grid.Total)
 	return c, nil
 }
 

@@ -464,8 +464,9 @@ func TestServiceRestartAfterDone(t *testing.T) {
 
 // TestServiceLargeCampaignStreams runs a 10⁵-scenario campaign through
 // the batched result path with outcome dropping on, verifying the full
-// record set lands while the coordinator's in-memory report stays
-// outcome-free — the mechanism that keeps memory flat at service scale.
+// record set lands through RESULT_BATCH frames (that DropOutcomes leaves
+// the coordinator's results outcome-free is grid's
+// TestCoordinatorDropOutcomes).
 // Under the race detector the matrix shrinks to 20k (same mechanism,
 // ~5x the runtime overhead).
 func TestServiceLargeCampaignStreams(t *testing.T) {
@@ -503,14 +504,10 @@ func TestServiceLargeCampaignStreams(t *testing.T) {
 	if c.State() != StateDone {
 		t.Fatalf("state = %s (err=%v), want done", c.State(), c.Err())
 	}
-	report := c.Report()
-	if len(report.Results) != trials {
-		t.Fatalf("report has %d results, want %d", len(report.Results), trials)
-	}
-	for i := 0; i < len(report.Results); i += 997 {
-		if report.Results[i].Outcome != nil {
-			t.Fatalf("result %d retains its outcome — DropOutcomes is not flattening memory", i)
-		}
+	// The finished campaign answers from its kept snapshot; the report and
+	// the coordinator behind it are released (TestServiceReleasesFinishedCampaigns).
+	if st := c.Status().Grid; st.Done != trials || st.Failed != 0 || !st.Finished {
+		t.Fatalf("final status = %+v, want %d done, none failed, finished", st, trials)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, campaign.ResultsFile))
 	if err != nil {
@@ -647,5 +644,58 @@ func TestServiceStopEndpointAbortsResumably(t *testing.T) {
 	// No summary file: the directory stays resumable.
 	if _, err := os.Stat(filepath.Join(c.Dir(), campaign.SummaryFile)); err == nil {
 		t.Error("aborted campaign wrote a summary (would be loaded as done)")
+	}
+}
+
+// TestServiceReleasesFinishedCampaigns: a service lives across campaigns,
+// so a finished one must cost it next to nothing. Ten 3,000-scenario
+// campaigns run back to back through one Service; the live heap after the
+// tenth may exceed the heap after the first by far less than the several
+// megabytes one campaign's coordinator, report and telemetry ring hold
+// (they used to stay for the life of the service), and a finished
+// campaign's status and counters still answer.
+func TestServiceReleasesFinishedCampaigns(t *testing.T) {
+	const spec = `{"name":"leak","kinds":["interruption"],"trials":500,"seed":5}`
+	const scenarios = 3000
+	svc, err := New(Config{Root: t.TempDir(), Options: testOptions(svcExec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Shutdown()
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the second pass frees what sync.Pools held through the first
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	var first *Campaign
+	var afterFirst uint64
+	for i := 0; i < 10; i++ {
+		c, err := svc.Submit([]byte(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, c, 60*time.Second)
+		if c.State() != StateDone {
+			t.Fatalf("campaign %d state = %s (err=%v), want done", i, c.State(), c.Err())
+		}
+		if i == 0 {
+			first, afterFirst = c, liveHeap()
+		}
+	}
+	if grown := int64(liveHeap()) - int64(afterFirst); grown > 2<<20 {
+		t.Errorf("live heap grew %d KB over nine finished campaigns, want under 2048 (a finished campaign keeps its coordinator?)", grown>>10)
+	}
+	st := first.Status()
+	if st.State != StateDone || st.Grid.Total != scenarios || st.Grid.Done != scenarios || st.Grid.Failed != 0 || !st.Grid.Finished {
+		t.Errorf("finished campaign status = %+v, want done %d/%d", st, scenarios, scenarios)
+	}
+	if got := st.Counters["grid.scenarios_completed"]; got != scenarios || st.ResultsPerSec <= 0 || st.ElapsedMS <= 0 {
+		t.Errorf("finished campaign reports completed=%d results/s=%.0f elapsed=%dms, want %d completed and its measured rate",
+			got, st.ResultsPerSec, st.ElapsedMS, scenarios)
+	}
+	if st.GridAddr != "" {
+		t.Errorf("finished campaign still advertises grid address %s", st.GridAddr)
 	}
 }
