@@ -14,18 +14,19 @@ import (
 	"attain/internal/telemetry"
 )
 
-// Host runs many switches' control channels on a small set of shared
-// event-loop shards instead of goroutines-per-switch. A hosted switch is
-// never Start()ed: Admit dials its controller, completes the HELLO
-// exchange, and binds the session to a shard chosen by DPID hash; from
-// then on one reader goroutine feeds the shard's intake queue and the
-// shard loop owns all of the session's timers (echo liveness, flow
-// expiry) and its outbound writes (coalesced per batch, like the
-// injector's shard core — both ride internal/evloop).
+// Host runs switches' control channels on a small set of shared
+// event-loop shards instead of goroutines-per-switch, and it is the only
+// control-channel implementation: a fabric admits thousands of switches to
+// one Host, and Switch.Start admits its switch to a one-switch Host of its
+// own. Admit dials the controller, completes the HELLO exchange, and binds
+// the session to a shard chosen by DPID hash; from then on one reader
+// goroutine feeds the shard's intake queue and the shard loop owns all of
+// the session's timers (echo liveness, flow expiry) and its outbound
+// writes (coalesced per batch, like the injector's shard core — both ride
+// internal/evloop).
 //
-// At 5,000 switches this replaces ~5 goroutines per switch (connLoop,
-// expiryLoop, writePump, echo prober, handshake reader) with one reader
-// per switch plus a fixed number of shard loops.
+// A hosted switch therefore costs one reader goroutine; the shard loops
+// and their tick sources are shared by every switch on the host.
 type Host struct {
 	cfg  HostConfig
 	clk  clock.Clock
@@ -71,16 +72,9 @@ func (c *HostConfig) setDefaults() {
 	}
 }
 
-const (
-	// hostBatch bounds how many events one loop iteration processes
-	// between flushes.
-	hostBatch = 256
-	// hostQueueLen is the per-shard intake preallocation. Hosted intake
-	// never blocks producers (readers and cross-loop writes both use
-	// non-blocking pushes, so loops can never deadlock on each other's
-	// backpressure); the queue-depth gauge tracks overshoot.
-	hostQueueLen = 4096
-)
+// hostBatch bounds how many events one loop iteration processes between
+// flushes.
+const hostBatch = 256
 
 // Event kinds of the hosted control-channel loop. Events are small values
 // (no pooling needed): the queue slices recycle via evloop's swap.
@@ -124,9 +118,9 @@ type hostShard struct {
 	batchSz *telemetry.Histogram
 }
 
-// hostedConn is the shard-hosted implementation of ctrlChan: sends queue
-// pooled frames to the owning shard, which coalesces them into one
-// Conn.Write per session per batch.
+// hostedConn is a switch's control channel: sends queue pooled frames to
+// the owning shard, which coalesces them into one Conn.Write per session
+// per batch. All message handlers send through it.
 type hostedConn struct {
 	sw     *Switch
 	sh     *hostShard
@@ -149,8 +143,8 @@ func (hc *hostedConn) close() {
 	})
 }
 
-// send implements ctrlChan. The hosted path cannot block (writes drain at
-// the next batch), so failure means the channel is down.
+// send queues a message for the next batch flush. It cannot block (writes
+// drain at the next batch), so failure means the channel is down.
 func (hc *hostedConn) send(xid uint32, msg openflow.Message) error {
 	if !hc.sendAsync(xid, msg) {
 		return net.ErrClosed
@@ -158,8 +152,8 @@ func (hc *hostedConn) send(xid uint32, msg openflow.Message) error {
 	return nil
 }
 
-// sendAsync implements ctrlChan: marshal into a pooled buffer and hand it
-// to the owning shard. Safe from any goroutine, including other shard
+// sendAsync marshals msg into a pooled buffer and hands it to the owning
+// shard, reporting success. Safe from any goroutine, including other shard
 // loops — the push never blocks, so loops cannot deadlock on each other.
 func (hc *hostedConn) sendAsync(xid uint32, msg openflow.Message) bool {
 	select {
@@ -193,9 +187,12 @@ func NewHost(cfg HostConfig) *Host {
 		sh := &hostShard{
 			h:  h,
 			id: i,
+			// Hosted intake never blocks producers (readers and cross-loop
+			// writes both push without waiting, so loops can never deadlock
+			// on each other's backpressure), so the queue is unbounded and
+			// grows to its high-water mark instead of preallocating one.
 			q: evloop.NewQueue[hostEvent](evloop.Config{
-				Capacity: hostQueueLen,
-				Depth:    cfg.Telemetry.Gauge(fmt.Sprintf("switchsim.host.shard.%d.queue_depth", i)),
+				Depth: cfg.Telemetry.Gauge(fmt.Sprintf("switchsim.host.shard.%d.queue_depth", i)),
 			}),
 			out:     evloop.NewCoalescer(0),
 			conns:   make(map[*hostedConn]struct{}),
@@ -290,27 +287,14 @@ func (h *Host) Admit(sw *Switch) error {
 	}
 	hc := &hostedConn{sw: sw, sh: sh, conn: raw, closed: make(chan struct{})}
 
-	// HELLO goes out synchronously; the reader goroutine waits for the
-	// peer's HELLO and then hands the session to the shard loop.
-	buf, err := openflow.AppendMessage(openflow.GetBuffer(), sw.nextXid(), &openflow.Hello{})
-	if err != nil {
-		openflow.PutBuffer(buf)
-		hc.close()
-		return err
-	}
-	_, werr := raw.Write(buf)
-	openflow.PutBuffer(buf)
-	if werr != nil {
-		hc.close()
-		werr = fmt.Errorf("handshake: %w", werr)
-		if sw.cfg.OnConnError != nil {
-			sw.cfg.OnConnError(werr)
-		}
-		return werr
-	}
-
+	// Our HELLO goes out on its own goroutine while the reader waits for
+	// the peer's: over an unbuffered transport each side's HELLO write
+	// blocks until the other side reads, and closing hc (timeout, Stop)
+	// unblocks a write to a peer that never reads.
+	hello := make(chan error, 1)
 	hsDone := make(chan error, 1)
-	if !h.goTracked(func() { h.readLoop(hc, hsDone) }) {
+	if !h.goTracked(func() { hello <- openflow.WriteMessage(raw, sw.nextXid(), &openflow.Hello{}) }) ||
+		!h.goTracked(func() { h.readLoop(hc, hello, hsDone) }) {
 		hc.close()
 		return net.ErrClosed
 	}
@@ -341,13 +325,17 @@ func (h *Host) Admit(sw *Switch) error {
 // readLoop is the one goroutine a hosted session keeps: it completes the
 // handshake, then decodes messages into shard events. Decoded messages do
 // not alias the reader's pooled buffer, so handing them to the loop is
-// safe. hevOpen is pushed before hsDone resolves and before any hevMsg,
+// safe. hevOpen is pushed once our HELLO is written (so no reply can
+// precede it on the wire), before hsDone resolves and before any hevMsg,
 // so the loop always registers the session before its first message.
-func (h *Host) readLoop(hc *hostedConn, hsDone chan<- error) {
+func (h *Host) readLoop(hc *hostedConn, hello <-chan error, hsDone chan<- error) {
 	mr := openflow.NewMessageReader(hc.conn)
 	defer mr.Close()
 
 	_, msg, err := mr.Read()
+	if werr := <-hello; err == nil {
+		err = werr
+	}
 	switch {
 	case err != nil:
 		hsDone <- err
@@ -378,13 +366,9 @@ func (h *Host) readLoop(hc *hostedConn, hsDone chan<- error) {
 // RetryLater schedules a background re-admission of sw: redial after its
 // ReconnectInterval, retrying until Admit succeeds or the host stops.
 // Bring-up code uses this to retry transiently failed admissions without
-// stalling its wave.
-func (h *Host) RetryLater(sw *Switch) { h.reconnectLater(sw) }
-
-// reconnectLater redials sw after its ReconnectInterval, retrying until
-// Admit succeeds or the host stops — the hosted analogue of connLoop's
-// redial path.
-func (h *Host) reconnectLater(sw *Switch) {
+// stalling its wave, Start to retry a failed first admission, and a
+// dropped session to redial. Each attempt counts one reconnect.
+func (h *Host) RetryLater(sw *Switch) {
 	h.goTracked(func() {
 		for {
 			select {
@@ -422,8 +406,8 @@ func (sh *hostShard) run() {
 }
 
 // tickLoop feeds the loop its timer granularity. One timer per shard
-// replaces per-switch echo-prober and expiry goroutines; per-connection
-// deadlines are loop-owned and checked against the batch timestamp.
+// serves every hosted switch's echo and expiry deadlines, which are
+// loop-owned and checked against the batch timestamp.
 func (sh *hostShard) tickLoop() {
 	for {
 		select {
@@ -508,7 +492,7 @@ func (sh *hostShard) dropConn(hc *hostedConn) {
 	hc.pend = hc.pend[:0]
 	hc.pendQueued = false
 	hc.sw.setConnected(false, nil)
-	sh.h.reconnectLater(hc.sw)
+	sh.h.RetryLater(hc.sw)
 }
 
 // queueWrite appends an outbound frame to its session's pending list for
@@ -530,6 +514,8 @@ func (sh *hostShard) queueWrite(hc *hostedConn, buf []byte) {
 // tick runs the timer checks against the batch timestamp: per session,
 // echo-timeout liveness (close and let the reader deliver hevClosed) and
 // echo probing; per admitted switch, connected or not, flow-expiry sweeps.
+// Deadlines advance from the previous deadline, not from now, so drain
+// latency never pushes a probe or sweep past the next tick.
 func (sh *hostShard) tick(now time.Time) {
 	for hc := range sh.conns {
 		sw := hc.sw
@@ -539,15 +525,25 @@ func (sh *hostShard) tick(now time.Time) {
 		}
 		if !now.Before(hc.nextEcho) {
 			hc.sendAsync(sw.nextXid(), &openflow.EchoRequest{Data: []byte(sw.cfg.Name)})
-			hc.nextEcho = now.Add(sw.cfg.EchoInterval)
+			hc.nextEcho = nextDeadline(hc.nextEcho, now, sw.cfg.EchoInterval)
 		}
 	}
 	for sw, next := range sh.expiry {
 		if !now.Before(next) {
 			sw.expireOnce(now)
-			sh.expiry[sw] = now.Add(sw.cfg.ExpiryInterval)
+			sh.expiry[sw] = nextDeadline(next, now, sw.cfg.ExpiryInterval)
 		}
 	}
+}
+
+// nextDeadline is the deadline after prev, which has fired at now: one
+// interval on from prev, or from now if a whole interval has already
+// slipped by.
+func nextDeadline(prev, now time.Time, interval time.Duration) time.Time {
+	if next := prev.Add(interval); next.After(now) {
+		return next
+	}
+	return now.Add(interval)
 }
 
 // flushAll writes every touched session's pending frames with one

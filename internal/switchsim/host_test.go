@@ -123,7 +123,7 @@ func TestHostedReconnect(t *testing.T) {
 	r.waitSwitches(t, 3)
 
 	// Kill every live control conn server-side; hosted switches must
-	// redial through reconnectLater and re-handshake.
+	// redial through RetryLater and re-handshake.
 	for _, sc := range r.ctrl.Switches() {
 		sc.Close()
 	}
@@ -254,9 +254,9 @@ func buildEthFrame(dst, src netaddr.MAC, etherType uint16, payload []byte) []byt
 }
 
 // TestHostedExpiryWhileDisconnected pins that a hosted switch keeps timing
-// its flows out after its control session dies, as a Start()ed switch's
-// expiryLoop does: a flow with a hard timeout is gone once the clock passes
-// it, controller or no controller.
+// its flows out after its control session dies, as an OVS datapath does: a
+// flow with a hard timeout is gone once the clock passes it, controller or
+// no controller.
 func TestHostedExpiryWhileDisconnected(t *testing.T) {
 	clk := clock.NewMock(time.Unix(1000, 0))
 	tr := netem.NewBufferedMemTransport(0)
@@ -329,5 +329,55 @@ func TestHostedExpiryWhileDisconnected(t *testing.T) {
 			t.Fatalf("disconnected hosted switch still holds %d flows past their hard timeout", sw.Table().Len())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestHostTickCadence pins that a tick drained late does not push the next
+// sweep or probe back a whole tick: deadlines advance from the previous
+// deadline, not from the batch timestamp. With Tick equal to both intervals
+// (Start's derived tick), a tick 1µs late followed by an on-time one must
+// still sweep and probe twice.
+func TestHostTickCadence(t *testing.T) {
+	const interval = 500 * time.Millisecond
+	t0 := time.Unix(1000, 0)
+	clk := clock.NewMock(t0)
+	h := NewHost(HostConfig{Tick: interval, Clock: clk})
+	sh := h.shards[0]
+	sw := New(Config{Name: "s1", DPID: 1, ExpiryInterval: interval, EchoInterval: interval}, clk)
+	hc := &hostedConn{sw: sw, sh: sh, closed: make(chan struct{}), lastRx: t0, nextEcho: t0.Add(interval)}
+	sh.conns[hc] = struct{}{}
+	sh.expiry[sw] = t0.Add(interval)
+
+	// One flow per sweep: each has a one-second hard timeout and times
+	// out exactly when its sweep is due.
+	for i, installed := range []time.Time{t0.Add(-interval), t0} {
+		m := openflow.MatchAll()
+		m.Wildcards &^= openflow.WildcardInPort
+		m.InPort = uint16(i + 1)
+		if err := sw.Table().Add(&openflow.FlowMod{
+			Match: m, Command: openflow.FlowModAdd, HardTimeout: 1,
+			BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
+		}, installed); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sh.tick(t0.Add(interval + time.Microsecond))
+	if n := sw.Table().Len(); n != 1 {
+		t.Fatalf("after the late first tick the table holds %d flows, want 1", n)
+	}
+	sh.tick(t0.Add(2 * interval))
+	if n := sw.Table().Len(); n != 0 {
+		t.Fatalf("second sweep slipped a tick: table still holds %d flows", n)
+	}
+	echoes := 0
+	for _, ev := range sh.q.Close() {
+		if ev.kind == hevWrite {
+			echoes++
+			openflow.PutBuffer(ev.buf)
+		}
+	}
+	if echoes != 2 {
+		t.Fatalf("%d echo probes over two ticks, want 2", echoes)
 	}
 }

@@ -43,16 +43,7 @@ func TestPortModAdminDown(t *testing.T) {
 	}
 	// Wait for the config to land (ping keeps failing until it does, so
 	// poll on the features view instead: the phy must show PORT_DOWN).
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		r.sw.mu.Lock()
-		down := r.sw.ports[2].adminDown
-		r.sw.mu.Unlock()
-		if down {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitAdminDown(r, 2, true)
 	if _, err := r.h1.Ping(r.h2.IP(), 200*time.Millisecond); err == nil {
 		t.Error("ping succeeded over an administratively down port")
 	}
@@ -64,8 +55,25 @@ func TestPortModAdminDown(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// The switch applies PORT_MODs on its shard loop while the ping
+	// enters the datapath directly, so wait for this one to land too.
+	waitAdminDown(r, 2, false)
 	if _, err := r.h1.Ping(r.h2.IP(), 2*time.Second); err != nil {
 		t.Errorf("ping failed after port re-enable: %v", err)
+	}
+}
+
+// waitAdminDown polls (up to 2s) until port's OFPPC_PORT_DOWN state is want.
+func waitAdminDown(r *rig, port uint16, want bool) {
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		r.sw.mu.Lock()
+		down := r.sw.ports[port].adminDown
+		r.sw.mu.Unlock()
+		if down == want {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 

@@ -3,7 +3,6 @@ package switchsim
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,12 +73,11 @@ type Config struct {
 	// transition, and packet-in trace events plus per-switch counters. Nil
 	// disables collection.
 	Telemetry *telemetry.Telemetry
-	// OnConnError, when non-nil, is called with dial and handshake
-	// failures from the controller connection path (both the goroutine
-	// connLoop and the shard-hosted Admit path). Fabric bring-up uses it
-	// to fail fast on resource exhaustion (fd limits) instead of silently
-	// retrying forever. Called from connection goroutines; must be
-	// safe for concurrent use.
+	// OnConnError, when non-nil, is called with every dial and handshake
+	// failure of Host.Admit, including the admissions Start and the redial
+	// path make. Fabric bring-up uses it to fail fast on resource
+	// exhaustion (fd limits) instead of silently retrying forever. Called
+	// from connection goroutines; must be safe for concurrent use.
 	OnConnError func(error)
 	// EmergencyFlows enables OpenFlow 1.0 §4.3 emergency flow entries
 	// (OFPFF_EMERG): flow mods flagged emergency populate a separate
@@ -145,14 +143,12 @@ type Switch struct {
 	mu        sync.Mutex
 	ports     map[uint16]*swPort
 	macTable  map[netaddr.MAC]uint16 // standalone learning table
-	conn      ctrlChan
+	conn      *hostedConn
 	connected bool
 	stats     Stats
 
-	xid     atomic.Uint32
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	started bool
+	xid  atomic.Uint32
+	host *Host // the one-switch host Start admits to; nil until Start
 }
 
 type swPort struct {
@@ -183,7 +179,8 @@ func (p *swPort) phy() openflow.PhyPort {
 	return desc
 }
 
-// New creates a switch; call AttachPort to wire ports, then Start.
+// New creates a switch; call AttachPort to wire ports, then either Start
+// it (a one-switch host of its own) or Admit it to a shared Host.
 func New(cfg Config, clk clock.Clock) *Switch {
 	cfg.setDefaults()
 	return &Switch{
@@ -196,7 +193,6 @@ func New(cfg Config, clk clock.Clock) *Switch {
 		ctrs:     buildSwCounters(cfg.Telemetry, cfg.Name),
 		ports:    make(map[uint16]*swPort),
 		macTable: make(map[netaddr.MAC]uint16),
-		stop:     make(chan struct{}),
 	}
 }
 
@@ -233,48 +229,45 @@ func (s *Switch) AttachPort(no uint16, name string, out func([]byte)) func([]byt
 	return func(frame []byte) { s.input(no, frame) }
 }
 
-// Start launches the controller connection loop and the expiry sweeper.
+// Start connects the switch to its controller on a one-switch Host, the
+// same event-loop control channel every fabric uses. The host's tick is
+// derived from the switch's own timers (the shorter of ExpiryInterval and
+// EchoInterval), so a Start()ed switch wakes no more often than its flow
+// sweeps need. Start does not block: dial and handshake run on a
+// host-tracked goroutine, and a failed admission redials every
+// ReconnectInterval, reporting each failure through OnConnError.
 func (s *Switch) Start() {
 	s.mu.Lock()
-	if s.started {
+	if s.host != nil {
 		s.mu.Unlock()
 		return
 	}
-	s.started = true
+	h := NewHost(HostConfig{
+		Tick:      min(s.cfg.ExpiryInterval, s.cfg.EchoInterval),
+		Clock:     s.clk,
+		Telemetry: s.tele,
+	})
+	s.host = h
 	s.mu.Unlock()
-
-	s.wg.Add(2)
-	go func() {
-		defer s.wg.Done()
-		s.connLoop()
-	}()
-	go func() {
-		defer s.wg.Done()
-		s.expiryLoop()
-	}()
+	h.Start()
+	h.goTracked(func() {
+		if h.Admit(s) != nil {
+			h.RetryLater(s)
+		}
+	})
 }
 
-// Stop shuts the switch down and waits for its goroutines.
+// Stop shuts the switch's host down, waits for its goroutines, and leaves
+// the switch disconnected. Idempotent; a no-op on a switch never Started.
 func (s *Switch) Stop() {
 	s.mu.Lock()
-	if !s.started {
-		s.mu.Unlock()
-		return
-	}
-	select {
-	case <-s.stop:
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	default:
-	}
-	close(s.stop)
-	conn := s.conn
+	h := s.host
 	s.mu.Unlock()
-	if conn != nil {
-		conn.close()
+	if h == nil {
+		return
 	}
-	s.wg.Wait()
+	h.Stop()
+	s.setConnected(false, nil)
 }
 
 // ---- Data path ----
@@ -285,7 +278,7 @@ func (s *Switch) SetLinkDown(portNo uint16, down bool) {
 	s.mu.Lock()
 	p := s.ports[portNo]
 	var (
-		conn ctrlChan
+		conn *hostedConn
 		desc openflow.PhyPort
 	)
 	if p != nil {
@@ -494,128 +487,7 @@ func (s *Switch) nextXid() uint32 { return s.xid.Add(1) }
 
 // ---- Controller channel ----
 
-// ctrlChan abstracts the switch's view of its control connection. A
-// Start()ed switch (the two-switch paper testbed) implements it with
-// *ctrlConn, one writer goroutine per connection; a switch admitted to a
-// Host (every fabric) with *hostedConn, whose writes queue to the owning
-// shard loop and coalesce per batch. All message handlers dispatch through
-// this interface, so the datapath logic is identical either way.
-type ctrlChan interface {
-	// send queues a message, blocking while there is room; net.ErrClosed
-	// once the channel is down.
-	send(xid uint32, msg openflow.Message) error
-	// sendAsync queues a message without blocking, reporting success.
-	sendAsync(xid uint32, msg openflow.Message) bool
-	// close tears the channel down (idempotent).
-	close()
-}
-
-// ctrlConn wraps one control connection with a write pump so data-path
-// sends never block behind a slow peer.
-type ctrlConn struct {
-	conn   net.Conn
-	outCh  chan []byte
-	closed chan struct{}
-	once   sync.Once
-	lastRx atomic.Int64 // unix nanos of last received message (virtual clock)
-}
-
-func newCtrlConn(conn net.Conn, now time.Time) *ctrlConn {
-	c := &ctrlConn{
-		conn:   conn,
-		outCh:  make(chan []byte, 1024),
-		closed: make(chan struct{}),
-	}
-	c.lastRx.Store(now.UnixNano())
-	go c.writePump()
-	return c
-}
-
-func (c *ctrlConn) writePump() {
-	for {
-		select {
-		case <-c.closed:
-			return
-		case buf := <-c.outCh:
-			// The pump owns each queued buffer; the conn has copied the
-			// bytes by the time Write returns, so recycle immediately.
-			_, err := c.conn.Write(buf)
-			openflow.PutBuffer(buf)
-			if err != nil {
-				c.close()
-				return
-			}
-		}
-	}
-}
-
-// send queues a message, blocking while there is room. The frame is
-// marshalled into a pooled buffer that the write pump recycles.
-func (c *ctrlConn) send(xid uint32, msg openflow.Message) error {
-	buf, err := openflow.AppendMessage(openflow.GetBuffer(), xid, msg)
-	if err != nil {
-		openflow.PutBuffer(buf)
-		return err
-	}
-	select {
-	case c.outCh <- buf:
-		return nil
-	case <-c.closed:
-		openflow.PutBuffer(buf)
-		return net.ErrClosed
-	}
-}
-
-// sendAsync queues a message without blocking, reporting success.
-func (c *ctrlConn) sendAsync(xid uint32, msg openflow.Message) bool {
-	buf, err := openflow.AppendMessage(openflow.GetBuffer(), xid, msg)
-	if err != nil {
-		openflow.PutBuffer(buf)
-		return false
-	}
-	select {
-	case c.outCh <- buf:
-		return true
-	case <-c.closed:
-		openflow.PutBuffer(buf)
-		return false
-	default:
-		openflow.PutBuffer(buf)
-		return false
-	}
-}
-
-func (c *ctrlConn) close() {
-	c.once.Do(func() {
-		close(c.closed)
-		_ = c.conn.Close()
-	})
-}
-
-// connLoop dials the controller, runs the session, and redials on failure.
-func (s *Switch) connLoop() {
-	for {
-		select {
-		case <-s.stop:
-			return
-		default:
-		}
-		if err := s.runSession(); err != nil {
-			s.setConnected(false, nil)
-		}
-		select {
-		case <-s.stop:
-			return
-		case <-s.clk.After(s.cfg.ReconnectInterval):
-			s.mu.Lock()
-			s.stats.Reconnects++
-			s.mu.Unlock()
-			s.ctrs.reconnects.Inc()
-		}
-	}
-}
-
-func (s *Switch) setConnected(up bool, conn ctrlChan) {
+func (s *Switch) setConnected(up bool, conn *hostedConn) {
 	s.mu.Lock()
 	wasUp := s.connected
 	s.connected = up
@@ -642,98 +514,8 @@ func (s *Switch) setConnected(up bool, conn ctrlChan) {
 	}
 }
 
-// runSession performs one complete controller session: dial, handshake,
-// then serve messages until the connection dies or the switch stops.
-func (s *Switch) runSession() error {
-	raw, err := s.cfg.Transport.Dial(s.cfg.ControllerAddr)
-	if err != nil {
-		err = fmt.Errorf("dial controller: %w", err)
-		if s.cfg.OnConnError != nil {
-			s.cfg.OnConnError(err)
-		}
-		return err
-	}
-	conn := newCtrlConn(raw, s.clk.Now())
-	defer conn.close()
-
-	if err := s.handshake(conn); err != nil {
-		err = fmt.Errorf("handshake: %w", err)
-		if s.cfg.OnConnError != nil {
-			s.cfg.OnConnError(err)
-		}
-		return err
-	}
-	s.setConnected(true, conn)
-	defer s.setConnected(false, nil)
-
-	// Echo prober: declares the session dead after EchoTimeout silence.
-	proberDone := make(chan struct{})
-	go func() {
-		defer close(proberDone)
-		for {
-			select {
-			case <-conn.closed:
-				return
-			case <-s.stop:
-				conn.close()
-				return
-			case <-s.clk.After(s.cfg.EchoInterval):
-				last := time.Unix(0, conn.lastRx.Load())
-				if s.clk.Now().Sub(last) > s.cfg.EchoTimeout {
-					conn.close()
-					return
-				}
-				_ = conn.sendAsync(s.nextXid(), &openflow.EchoRequest{Data: []byte(s.cfg.Name)})
-			}
-		}
-	}()
-	defer func() { <-proberDone }()
-
-	// One pooled read buffer serves the whole session: decoded messages do
-	// not alias it, so the read loop allocates no per-message buffers.
-	mr := openflow.NewMessageReader(conn.conn)
-	defer mr.Close()
-	for {
-		hdr, msg, err := mr.Read()
-		if err != nil {
-			return fmt.Errorf("read: %w", err)
-		}
-		conn.lastRx.Store(s.clk.Now().UnixNano())
-		s.handleControl(conn, hdr, msg)
-	}
-}
-
-// handshake sends HELLO and waits for the peer's HELLO.
-func (s *Switch) handshake(conn *ctrlConn) error {
-	if err := conn.send(s.nextXid(), &openflow.Hello{}); err != nil {
-		return err
-	}
-	type result struct {
-		msg openflow.Message
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		_, msg, err := openflow.ReadMessage(conn.conn)
-		ch <- result{msg, err}
-	}()
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			return r.err
-		}
-		if r.msg.Type() != openflow.TypeHello {
-			return fmt.Errorf("expected HELLO, got %s", r.msg.Type())
-		}
-		return nil
-	case <-s.clk.After(s.cfg.HandshakeTimeout):
-		conn.close()
-		return errors.New("timed out waiting for HELLO")
-	}
-}
-
 // handleControl dispatches one controller-to-switch message.
-func (s *Switch) handleControl(conn ctrlChan, hdr openflow.Header, msg openflow.Message) {
+func (s *Switch) handleControl(conn *hostedConn, hdr openflow.Header, msg openflow.Message) {
 	switch m := msg.(type) {
 	case *openflow.EchoRequest:
 		_ = conn.send(hdr.Xid, &openflow.EchoReply{Data: m.Data})
@@ -770,7 +552,7 @@ func (s *Switch) handleControl(conn ctrlChan, hdr openflow.Header, msg openflow.
 
 // handlePortMod applies OFPPC_PORT_DOWN changes and notifies the
 // controller with PORT_STATUS.
-func (s *Switch) handlePortMod(conn ctrlChan, pm *openflow.PortMod) {
+func (s *Switch) handlePortMod(conn *hostedConn, pm *openflow.PortMod) {
 	if pm.Mask&openflow.PortConfigPortDown == 0 {
 		return
 	}
@@ -810,7 +592,7 @@ func (s *Switch) featuresReply() *openflow.FeaturesReply {
 	return fr
 }
 
-func (s *Switch) handleFlowMod(conn ctrlChan, hdr openflow.Header, fm *openflow.FlowMod) {
+func (s *Switch) handleFlowMod(conn *hostedConn, hdr openflow.Header, fm *openflow.FlowMod) {
 	now := s.clk.Now()
 	table := s.table
 	if fm.Flags&openflow.FlowModFlagEmergency != 0 {
@@ -915,7 +697,7 @@ func (s *Switch) handlePacketOut(po *openflow.PacketOut) {
 	s.applyActions(po.Actions, inPort, frame)
 }
 
-func (s *Switch) handleStatsRequest(conn ctrlChan, hdr openflow.Header, req *openflow.StatsRequest) {
+func (s *Switch) handleStatsRequest(conn *hostedConn, hdr openflow.Header, req *openflow.StatsRequest) {
 	var body openflow.StatsBody
 	switch b := req.Body.(type) {
 	case openflow.DescStatsRequest:
@@ -971,7 +753,7 @@ func (s *Switch) handleStatsRequest(conn ctrlChan, hdr openflow.Header, req *ope
 	_ = conn.send(hdr.Xid, &openflow.StatsReply{Body: body})
 }
 
-func (s *Switch) notifyFlowRemoved(conn ctrlChan, e *Entry, reason openflow.FlowRemovedReason, now time.Time) {
+func (s *Switch) notifyFlowRemoved(conn *hostedConn, e *Entry, reason openflow.FlowRemovedReason, now time.Time) {
 	if e.Flags&openflow.FlowModFlagSendFlowRem == 0 || conn == nil {
 		return
 	}
@@ -983,22 +765,9 @@ func (s *Switch) notifyFlowRemoved(conn ctrlChan, e *Entry, reason openflow.Flow
 	})
 }
 
-// expiryLoop periodically evicts timed-out flows.
-func (s *Switch) expiryLoop() {
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.clk.After(s.cfg.ExpiryInterval):
-			s.expireOnce(s.clk.Now())
-		}
-	}
-}
-
-// expireOnce runs one flow-timeout sweep, notifying the controller over
-// the current control channel if there is one. Shared by the goroutine
-// expiryLoop and the shard-hosted tick path (which passes its batch
-// timestamp).
+// expireOnce runs one flow-timeout sweep at the shard's batch timestamp,
+// notifying the controller over the current control channel if there is
+// one.
 func (s *Switch) expireOnce(now time.Time) {
 	s.mu.Lock()
 	conn := s.conn

@@ -1,6 +1,9 @@
 package switchsim
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -312,5 +315,148 @@ func TestFlowExpiryIdleTimeout(t *testing.T) {
 	}
 	if n := sw.Table().Len(); n != 0 {
 		t.Errorf("flows remaining after idle timeout: %d", n)
+	}
+}
+
+// eventually spins until cond holds, failing the test after five seconds
+// of wall time. The Start tests run on a mock clock, so nothing here
+// sleeps: progress comes from the switch's own goroutines.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
+func startController(t *testing.T, tr netem.Transport, clk clock.Clock) *controller.Controller {
+	t.Helper()
+	ctrl := controller.New(controller.Config{
+		Name: "c1", ListenAddr: "c1", Transport: tr,
+		App: controller.NewLearningSwitch(controller.ProfileFloodlight),
+	}, clk)
+	if err := ctrl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return ctrl
+}
+
+// TestStartRedialsUntilControllerListens starts a switch before its
+// controller exists: the failed dial reaches OnConnError, the switch waits
+// ReconnectInterval of virtual time, counts a reconnect, and connects once
+// the controller is up.
+func TestStartRedialsUntilControllerListens(t *testing.T) {
+	const redial = 2 * time.Second
+	clk := clock.NewMock(time.Unix(1000, 0))
+	tr := netem.NewMemTransport()
+	// Buffered past the one or two failures a mock-clock run can see, so
+	// the hook never blocks the admitting goroutine.
+	errs := make(chan error, 8)
+	sw := New(Config{
+		Name: "s1", DPID: 1, ControllerAddr: "c1", Transport: tr,
+		ReconnectInterval: redial,
+		OnConnError:       func(err error) { errs <- err },
+	}, clk)
+	sw.Start()
+	defer sw.Stop()
+
+	select {
+	case err := <-errs:
+		if !errors.Is(err, netem.ErrConnRefused) {
+			t.Fatalf("OnConnError got %v, want a refused dial", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("OnConnError never fired for the refused dial")
+	}
+	// The host's tick and the pending redial are the only timers.
+	eventually(t, "the redial timer", func() bool { return clk.Waiters() == 2 })
+	if st := sw.Stats(); st.Reconnects != 0 || sw.Connected() {
+		t.Fatalf("redialed before ReconnectInterval: reconnects=%d connected=%v", st.Reconnects, sw.Connected())
+	}
+
+	ctrl := startController(t, tr, clk)
+	defer ctrl.Stop()
+	clk.Advance(redial)
+	eventually(t, "the redial to connect", sw.Connected)
+	eventually(t, "the controller to see the switch", func() bool { return ctrl.SwitchCount() == 1 })
+	if n := sw.Stats().Reconnects; n != 1 {
+		t.Fatalf("reconnects = %d, want 1", n)
+	}
+}
+
+// TestStartStopLeavesNothingBehind runs 32 Start()ed switches through a
+// controller restart and stops them: every goroutine they started is gone
+// afterwards. Stop is idempotent and a no-op on a switch never Started.
+func TestStartStopLeavesNothingBehind(t *testing.T) {
+	const n = 32
+	const redial = time.Second
+	before := runtime.NumGoroutine()
+	clk := clock.NewMock(time.Unix(1000, 0))
+	tr := netem.NewBufferedMemTransport(0)
+	ctrl := startController(t, tr, clk)
+
+	sws := make([]*Switch, n)
+	for i := range sws {
+		sws[i] = New(Config{
+			Name: fmt.Sprintf("s%d", i+1), DPID: uint64(i + 1),
+			ControllerAddr: "c1", Transport: tr,
+			// No echo probes: virtual time jumps by whole redial
+			// intervals below and must not time sessions out.
+			EchoInterval:      time.Hour,
+			ReconnectInterval: redial,
+		}, clk)
+		sws[i].Start()
+	}
+	allConnected := func(want bool) func() bool {
+		return func() bool {
+			for _, sw := range sws {
+				if sw.Connected() != want {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	eventually(t, "every switch to connect", allConnected(true))
+
+	ctrl.Stop()
+	eventually(t, "every switch to drop", allConnected(false))
+	ctrl = startController(t, tr, clk)
+	// Redials wait on the mock clock; step it one redial interval per
+	// 10ms of wall time until every switch is back.
+	last := time.Now()
+	eventually(t, "every switch to reconnect", func() bool {
+		if time.Since(last) > 10*time.Millisecond {
+			clk.Advance(redial)
+			last = time.Now()
+		}
+		return allConnected(true)() && ctrl.SwitchCount() == n
+	})
+	for _, sw := range sws {
+		if sw.Stats().Reconnects == 0 {
+			t.Fatalf("%s reconnected without counting it", sw.Name())
+		}
+	}
+
+	for _, sw := range sws {
+		sw.Stop()
+		sw.Stop()
+		if sw.Connected() {
+			t.Fatalf("%s still connected after Stop", sw.Name())
+		}
+	}
+	ctrl.Stop()
+	New(Config{Name: "idle", DPID: 99}, clk).Stop()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines, want at most %d:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		runtime.Gosched()
 	}
 }

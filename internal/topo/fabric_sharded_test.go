@@ -419,9 +419,9 @@ func TestFabricShardedStress(t *testing.T) {
 
 // BenchmarkFabricConverge is the fabric-scale headline: full bring-up,
 // discovery convergence, and LLDP-poison deviation on large jellyfish
-// fabrics under the sharded event-loop core. Run with -benchtime=1x; the
-// exported metrics land in BENCH_fabric.json via tools/benchjson and gate
-// regressions through benchcmp.
+// fabrics under the sharded event-loop core. Run with -benchtime=1x;
+// `make fabric-smoke` runs the 1500-switch case as a must-complete smoke,
+// and the bench/ harness's fabric_5k workload is the regression gate.
 func BenchmarkFabricConverge(b *testing.B) {
 	cases := []struct {
 		topo   string
