@@ -135,6 +135,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/compile/ -run=^$$ -fuzz=FuzzParseSystem$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/compile/ -run=^$$ -fuzz=FuzzParseAttack$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/compile/ -run=^$$ -fuzz=FuzzParseExpr$$ -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core/compile/ -run=^$$ -fuzz=FuzzCompiledCondDifferential$$ -fuzztime=$(FUZZTIME)
 
 clean:
 	rm -rf /tmp/attain-smoke /tmp/attain-grid-smoke /tmp/attain-fabric-smoke \

@@ -6,6 +6,7 @@ package compile
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -140,18 +141,17 @@ func (lx *lexer) lexString(line int) (token, error) {
 			if lx.pos+1 >= len(lx.src) {
 				return token{}, fmt.Errorf("line %d: dangling escape", line)
 			}
-			lx.pos++
-			switch esc := lx.src[lx.pos]; esc {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case '"', '\\':
-				b.WriteByte(esc)
-			default:
-				return token{}, fmt.Errorf("line %d: unknown escape \\%c", line, esc)
+			// Go's escapes: the formatters quote strings with %q.
+			r, multibyte, tail, err := strconv.UnquoteChar(lx.src[lx.pos:], '"')
+			if err != nil {
+				return token{}, fmt.Errorf("line %d: unknown escape \\%c", line, lx.src[lx.pos+1])
 			}
-			lx.pos++
+			if multibyte {
+				b.WriteRune(r)
+			} else {
+				b.WriteByte(byte(r))
+			}
+			lx.pos = len(lx.src) - len(tail)
 		case '\n':
 			return token{}, fmt.Errorf("line %d: newline in string", line)
 		default:

@@ -55,7 +55,7 @@ func baselineProcess(inj *Injector, sh *shard, ev *event, wire []byte) {
 		if !rule.AppliesTo(ev.conn) {
 			continue
 		}
-		if matched, err := sh.exec.evalCond(rule.Cond, env); err != nil || !matched {
+		if matched, err := lang.EvalCond(rule.Cond, env); err != nil || !matched {
 			continue
 		}
 	}

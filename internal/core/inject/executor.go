@@ -39,6 +39,10 @@ type executor struct {
 	// typeCounts accumulates lean-log per-type message counts within one
 	// shard batch, published in bulk by shard.flushBook.
 	typeCounts map[string]uint64
+	// stateName and state cache the compiled state of σ's last reading,
+	// so the per-message lookup is one string comparison while σ holds.
+	stateName string
+	state     *compiledState
 	// batchNow is the clock reading message views and verdict events
 	// share: taken once per shard batch, and again after the loop blocks
 	// (see block), instead of once per message.
@@ -115,9 +119,9 @@ func (ex *executor) process(ev *event) {
 	view := ex.resetView(ev, ev.sess.caps)
 	ctrs.seen.Inc()
 	var disp disposition
-	// Seen and lean-log type counts accumulate per batch and are published
-	// in one log-lock round (flushBook).
-	ex.sh.noteSeen(ev.sess)
+	// Stats and lean-log type counts accumulate per batch and are
+	// published in one log-lock round (flushBook).
+	ex.sh.book(ev.sess).Seen++
 	if ex.inj.cfg.LeanLog {
 		ex.typeCounts[view.TypeName()]++
 	} else {
@@ -136,21 +140,28 @@ func (ex *executor) process(ev *event) {
 	// σ_previous <- σ_current (line 6): rules evaluate against the state
 	// at message arrival even if an action transitions mid-message.
 	prev := ex.currentState()
-	state := ex.inj.cfg.Attack.States[prev]
+	if ex.state == nil || prev != ex.stateName {
+		ex.stateName, ex.state = prev, ex.inj.prog.states[prev]
+	}
 	env := &ex.env
 	*env = lang.Env{View: view, Storage: ex.storage, System: ex.inj.cfg.System}
 
-	if state != nil {
-		for _, rule := range state.Rules {
-			if !ex.inj.ruleApplies(rule, ev.conn) {
+	if ex.state != nil {
+		// Dispatch: only the rules of the message's (direction, type)
+		// bucket can match; the rest would evaluate to (false, nil).
+		key := noFrame
+		if f, ok := view.Frame(); ok {
+			key = int(f.Type())
+		}
+		watch := ctrs.watch
+		for _, cr := range ex.state.buckets[ev.dir-1][key] {
+			if !watch[cr.id] {
 				continue
 			}
-			matched, err := ex.evalCond(rule.Cond, env)
+			rule := cr.rule
+			matched, err := cr.cond(env)
 			if err != nil {
-				ex.inj.log.Add(Event{
-					At: ex.inj.clk.Now(), Kind: EventError, Conn: ev.conn,
-					Detail: fmt.Sprintf("rule %s conditional: %v", rule.Name, err),
-				})
+				ex.logErr(ev.conn, "rule %s conditional: %v", rule.Name, err)
 				continue
 			}
 			if !matched {
@@ -161,18 +172,20 @@ func (ex *executor) process(ev *event) {
 			if rule.Prob > 0 && rule.Prob < 1 && ex.rng.Float64() >= rule.Prob {
 				continue
 			}
-			ex.inj.log.Count(ev.conn, func(s *Stats) { s.RuleFires++ })
+			ex.sh.book(ev.sess).RuleFires++
 			ctrs.ruleFires.Inc()
 			ex.inj.tele.Emit(telemetry.Event{
 				Layer: telemetry.LayerInjector, Kind: telemetry.KindRule,
 				Conn: ctrs.label, MsgType: view.TypeName(),
 				Rule: rule.Name, Detail: prev,
 			})
-			ex.inj.log.Add(Event{
-				At: ex.inj.clk.Now(), Kind: EventRule, Conn: ev.conn,
-				MsgType: view.TypeName(),
-				Detail:  fmt.Sprintf("state %s rule %s matched", prev, rule.Name),
-			})
+			if ex.inj.log.Retains() {
+				ex.inj.log.Add(Event{
+					At: ex.inj.clk.Now(), Kind: EventRule, Conn: ev.conn,
+					MsgType: view.TypeName(),
+					Detail:  fmt.Sprintf("state %s rule %s matched", prev, rule.Name),
+				})
+			}
 			for _, act := range rule.Actions {
 				if g, ok := act.(lang.GotoState); ok {
 					ex.setState(g.State)
@@ -183,10 +196,12 @@ func (ex *executor) process(ev *event) {
 							Detail: prev + " -> " + g.State,
 						})
 					}
-					ex.inj.log.Add(Event{
-						At: ex.inj.clk.Now(), Kind: EventState, Conn: ev.conn,
-						Detail: fmt.Sprintf("%s -> %s (rule %s)", prev, g.State, rule.Name),
-					})
+					if ex.inj.log.Retains() {
+						ex.inj.log.Add(Event{
+							At: ex.inj.clk.Now(), Kind: EventState, Conn: ev.conn,
+							Detail: fmt.Sprintf("%s -> %s (rule %s)", prev, g.State, rule.Name),
+						})
+					}
 					continue
 				}
 				out = ex.modify(act, ev, view, env, out, ctrs, &disp)
@@ -325,13 +340,11 @@ func (inj *Injector) deliverAsync(evSess *session, evConn model.Conn, m outMsg) 
 // rule actually needs it (Materialize) or rewrites the message.
 func (ex *executor) resetView(ev *event, granted model.CapabilitySet) *lang.MessageView {
 	view := &ex.view
-	*view = lang.MessageView{
-		Conn:      ev.conn,
-		Direction: ev.dir,
-		Timestamp: ex.batchNow,
-		Length:    len(ev.raw),
-		ID:        ex.inj.nextMsgID(),
-	}
+	// Zero in place, then assign: a composite literal here is built in a
+	// temporary and copied over the whole view on every message.
+	*view = lang.MessageView{}
+	view.Conn, view.Direction, view.Timestamp = ev.conn, ev.dir, ex.batchNow
+	view.Length, view.ID = len(ev.raw), ex.inj.nextMsgID()
 	if ev.dir == lang.SwitchToController {
 		view.Source = ev.conn.Switch
 		view.Destination = ev.conn.Controller
@@ -347,27 +360,9 @@ func (ex *executor) resetView(ev *event, granted model.CapabilitySet) *lang.Mess
 	return view
 }
 
-func (ex *executor) evalCond(cond lang.Expr, env *lang.Env) (bool, error) {
-	v, err := cond.Eval(env)
-	if err != nil {
-		return false, err
-	}
-	b, ok := v.(bool)
-	if !ok {
-		return false, fmt.Errorf("conditional is not boolean")
-	}
-	return b, nil
-}
-
 // modify implements the MESSAGEMODIFIER function of Algorithm 1 (line 14):
 // it interprets one action against the outgoing message list.
 func (ex *executor) modify(act lang.Action, ev *event, view *lang.MessageView, env *lang.Env, out []outMsg, ctrs *connCounters, disp *disposition) []outMsg {
-	logErr := func(format string, args ...interface{}) {
-		ex.inj.log.Add(Event{
-			At: ex.inj.clk.Now(), Kind: EventError, Conn: ev.conn,
-			Detail: fmt.Sprintf(format, args...),
-		})
-	}
 	switch a := act.(type) {
 	case lang.PassMessage:
 		return out
@@ -375,7 +370,7 @@ func (ex *executor) modify(act lang.Action, ev *event, view *lang.MessageView, e
 		kept := out[:0]
 		for _, m := range out {
 			if m.fromCurrent {
-				ex.inj.log.Count(ev.conn, func(s *Stats) { s.Dropped++ })
+				ex.sh.book(ev.sess).Dropped++
 				ctrs.dropped.Inc()
 				disp.dropped = true
 				continue
@@ -388,7 +383,7 @@ func (ex *executor) modify(act lang.Action, ev *event, view *lang.MessageView, e
 			if m.fromCurrent {
 				dup := m
 				dup.raw = append(openflow.GetBuffer(), m.raw...)
-				ex.inj.log.Count(ev.conn, func(s *Stats) { s.Duplicated++ })
+				ex.sh.book(ev.sess).Duplicated++
 				ctrs.duplicated.Inc()
 				return append(out, dup)
 			}
@@ -428,7 +423,7 @@ func (ex *executor) modify(act lang.Action, ev *event, view *lang.MessageView, e
 				openflow.PutBuffer(old)
 			}
 			out[i].raw = fuzzed
-			ex.inj.log.Count(ev.conn, func(s *Stats) { s.Fuzzed++ })
+			ex.sh.book(ev.sess).Fuzzed++
 			ctrs.fuzzed.Inc()
 			disp.modified = true
 		}
@@ -436,7 +431,7 @@ func (ex *executor) modify(act lang.Action, ev *event, view *lang.MessageView, e
 	case lang.ModifyField:
 		val, err := a.Value.Eval(env)
 		if err != nil {
-			logErr("modify %s: %v", a.Field, err)
+			ex.logErr(ev.conn, "modify %s: %v", a.Field, err)
 			return out
 		}
 		for i := range out {
@@ -445,14 +440,14 @@ func (ex *executor) modify(act lang.Action, ev *event, view *lang.MessageView, e
 			}
 			raw, err := rewritePayload(out[i].raw, a.Field, val)
 			if err != nil {
-				logErr("modify %s: %v", a.Field, err)
+				ex.logErr(ev.conn, "modify %s: %v", a.Field, err)
 				continue
 			}
 			if old := out[i].raw; len(old) > 0 && len(ev.raw) > 0 && &old[0] != &ev.raw[0] {
 				openflow.PutBuffer(old)
 			}
 			out[i].raw = raw
-			ex.inj.log.Count(ev.conn, func(s *Stats) { s.Modified++ })
+			ex.sh.book(ev.sess).Modified++
 			ctrs.modified.Inc()
 			disp.modified = true
 			disp.materialized = true
@@ -470,7 +465,7 @@ func (ex *executor) modify(act lang.Action, ev *event, view *lang.MessageView, e
 	case lang.InjectMessage:
 		msg, err := ex.inj.buildTemplate(a.Template)
 		if err != nil {
-			logErr("%v", err)
+			ex.logErr(ev.conn, "%v", err)
 			return out
 		}
 		// Injected messages draw xids from a dedicated counter: forwarded
@@ -480,10 +475,10 @@ func (ex *executor) modify(act lang.Action, ev *event, view *lang.MessageView, e
 		raw, err := openflow.AppendMessage(openflow.GetBuffer(), ex.inj.nextInjectXid(), msg)
 		if err != nil {
 			openflow.PutBuffer(raw)
-			logErr("inject %s: %v", a.Template, err)
+			ex.logErr(ev.conn, "inject %s: %v", a.Template, err)
 			return out
 		}
-		ex.inj.log.Count(ev.conn, func(s *Stats) { s.Injected++ })
+		ex.sh.book(ev.sess).Injected++
 		ctrs.injected.Inc()
 		return append(out, outMsg{conn: ev.conn, dir: a.Direction, raw: raw})
 	case lang.StoreMessage:
@@ -516,12 +511,12 @@ func (ex *executor) modify(act lang.Action, ev *event, view *lang.MessageView, e
 			v, err = d.Shift()
 		}
 		if err != nil {
-			logErr("sendStored %s: %v", a.Deque, err)
+			ex.logErr(ev.conn, "sendStored %s: %v", a.Deque, err)
 			return out
 		}
 		captured, ok := v.(*lang.Captured)
 		if !ok {
-			logErr("sendStored %s: element is not a captured message", a.Deque)
+			ex.logErr(ev.conn, "sendStored %s: element is not a captured message", a.Deque)
 			return out
 		}
 		ex.inj.log.Count(captured.View.Conn, func(s *Stats) { s.Injected++ })
@@ -530,7 +525,7 @@ func (ex *executor) modify(act lang.Action, ev *event, view *lang.MessageView, e
 	case lang.DequePush:
 		val, err := a.Value.Eval(env)
 		if err != nil {
-			logErr("deque push %s: %v", a.Deque, err)
+			ex.logErr(ev.conn, "deque push %s: %v", a.Deque, err)
 			return out
 		}
 		d := ex.storage.Deque(a.Deque)
@@ -560,23 +555,33 @@ func (ex *executor) modify(act lang.Action, ev *event, view *lang.MessageView, e
 			Detail: fmt.Sprintf("host %s: %s", a.Host, a.Cmd),
 		})
 		if fn == nil {
-			logErr("syscmd: no runner registered for host %s", a.Host)
+			ex.logErr(ev.conn, "syscmd: no runner registered for host %s", a.Host)
 			return out
 		}
 		// Commands represent external monitor actuation (iperf, tcpdump)
 		// and run asynchronously so the proxy pipeline is not stalled.
+		// The goroutine outlives ev, which is recycled when process returns.
+		conn := ev.conn
 		ex.inj.wg.Add(1)
 		go func() {
 			defer ex.inj.wg.Done()
 			if err := fn(a.Cmd); err != nil {
-				logErr("syscmd on %s: %v", a.Host, err)
+				ex.logErr(conn, "syscmd on %s: %v", a.Host, err)
 			}
 		}()
 		return out
 	default:
-		logErr("unknown action %T", act)
+		ex.logErr(ev.conn, "unknown action %T", act)
 		return out
 	}
+}
+
+// logErr records a runtime error on conn.
+func (ex *executor) logErr(conn model.Conn, format string, args ...interface{}) {
+	ex.inj.log.Add(Event{
+		At: ex.inj.clk.Now(), Kind: EventError, Conn: conn,
+		Detail: fmt.Sprintf(format, args...),
+	})
 }
 
 // rewritePayload decodes a framed message, modifies one property, and

@@ -105,13 +105,8 @@ type Injector struct {
 	// counters maps each proxied connection to its pre-resolved telemetry
 	// counters; read-only after New.
 	counters map[model.Conn]*connCounters
-	// ruleConns indexes each wide rule's watched-connection list as a set.
-	// Rule.AppliesTo is a linear scan — fine for the paper's handful of
-	// victim conns, but fabric attacks watch every connection, and at
-	// 5,000 switches an O(conns) scan per proxied frame dominates the
-	// whole injector. Read-only after New; rules watching few conns stay
-	// on the scan (a map lookup costs more than comparing two entries).
-	ruleConns map[*lang.Rule]map[model.Conn]struct{}
+	// prog is the attack compiled for the executors; read-only after New.
+	prog *program
 	// shards holds the batch-draining event loops; read-only after New.
 	// imbalance counts skew observations between the busiest and idlest
 	// shard (see shard.observeImbalance).
@@ -182,16 +177,19 @@ type session struct {
 	closeOnce  sync.Once
 	closed     chan struct{}
 	// Hot-path caches resolved once at open (see Injector.bindSession):
-	// the attacker's capability grant, the telemetry counters, and the
-	// log's stats record for this connection. Grants and the counters map
+	// the attacker's capability grant, the telemetry counters (which carry
+	// the mask of rules watching the connection), and the log's stats
+	// record for this connection. Grants and the counters map
 	// are immutable after New, so caching preserves semantics while the
 	// per-message path skips three Conn-keyed map lookups.
 	caps  model.CapabilitySet
 	ctrs  *connCounters
 	stats *Stats
-	// batchSeen accumulates Seen counts within one shard batch, published
-	// in bulk by shard.flushBook. Owned by the shard loop.
-	batchSeen uint64
+	// pend accumulates this batch's counts for stats, published in bulk by
+	// shard.flushBook; booked marks the session as on the shard's list of
+	// sessions to publish. Owned by the shard loop.
+	pend   Stats
+	booked bool
 
 	sh         *shard
 	pendSwitch [][]byte
@@ -253,7 +251,8 @@ func New(cfg Config) (*Injector, error) {
 		stop:     make(chan struct{}),
 	}
 	inj.counters = buildConnCounters(inj.tele, inj.proxiedConns())
-	inj.ruleConns = buildRuleConnSets(cfg.Attack)
+	inj.prog = compileAttack(cfg.Attack)
+	inj.prog.bindWatches(inj.counters)
 	inj.state = cfg.State
 	if inj.state == nil {
 		inj.state = newLocalState(cfg.Attack.Start)
@@ -264,38 +263,6 @@ func New(cfg Config) (*Injector, error) {
 		inj.shards[i] = newShard(inj, i)
 	}
 	return inj, nil
-}
-
-// ruleSetThreshold is the watched-connection count above which a rule
-// gets a set index instead of AppliesTo's linear scan.
-const ruleSetThreshold = 8
-
-// buildRuleConnSets indexes the watched connections of every wide rule.
-func buildRuleConnSets(a *lang.Attack) map[*lang.Rule]map[model.Conn]struct{} {
-	sets := make(map[*lang.Rule]map[model.Conn]struct{})
-	for _, st := range a.States {
-		for _, rule := range st.Rules {
-			if len(rule.Conns) <= ruleSetThreshold {
-				continue
-			}
-			set := make(map[model.Conn]struct{}, len(rule.Conns))
-			for _, c := range rule.Conns {
-				set[c] = struct{}{}
-			}
-			sets[rule] = set
-		}
-	}
-	return sets
-}
-
-// ruleApplies reports whether rule watches conn, via the set index for
-// wide rules and Rule.AppliesTo for narrow ones.
-func (inj *Injector) ruleApplies(rule *lang.Rule, conn model.Conn) bool {
-	if set, ok := inj.ruleConns[rule]; ok {
-		_, watched := set[conn]
-		return watched
-	}
-	return rule.AppliesTo(conn)
 }
 
 // Log exposes the injector's event log.

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"attain/internal/core/model"
@@ -92,6 +93,9 @@ type Log struct {
 	w      io.Writer
 	stats  map[model.Conn]*Stats
 	byType map[string]uint64
+	// full is set once events holds max entries: Add keeps nothing more,
+	// so with no writer an event would be built for nobody (Retains).
+	full atomic.Bool
 }
 
 // NewLog creates a log retaining up to max events in memory (0 means a
@@ -113,6 +117,7 @@ func (l *Log) Add(e Event) {
 	l.mu.Lock()
 	if len(l.events) < l.max {
 		l.events = append(l.events, e)
+		l.full.Store(len(l.events) == l.max)
 	}
 	if e.Kind == EventMessage {
 		l.byType[e.MsgType]++
@@ -123,6 +128,11 @@ func (l *Log) Add(e Event) {
 		fmt.Fprintln(w, e.String())
 	}
 }
+
+// Retains reports whether Add would keep or write an event that is not an
+// EventMessage (whose per-type count Add always takes). Callers skip
+// formatting an event's detail when it would not.
+func (l *Log) Retains() bool { return l.w != nil || !l.full.Load() }
 
 // Count atomically updates a counter for conn.
 func (l *Log) Count(conn model.Conn, update func(*Stats)) {
@@ -186,17 +196,22 @@ func (l *Log) TotalStats() Stats {
 	defer l.mu.Unlock()
 	var total Stats
 	for _, st := range l.stats {
-		total.Seen += st.Seen
-		total.Delivered += st.Delivered
-		total.Dropped += st.Dropped
-		total.Duplicated += st.Duplicated
-		total.Delayed += st.Delayed
-		total.Modified += st.Modified
-		total.Fuzzed += st.Fuzzed
-		total.Injected += st.Injected
-		total.RuleFires += st.RuleFires
+		total.add(st)
 	}
 	return total
+}
+
+// add accumulates d into s.
+func (s *Stats) add(d *Stats) {
+	s.Seen += d.Seen
+	s.Delivered += d.Delivered
+	s.Dropped += d.Dropped
+	s.Duplicated += d.Duplicated
+	s.Delayed += d.Delayed
+	s.Modified += d.Modified
+	s.Fuzzed += d.Fuzzed
+	s.Injected += d.Injected
+	s.RuleFires += d.RuleFires
 }
 
 // MessageTypeCounts returns how many messages of each OpenFlow type were

@@ -90,8 +90,8 @@ func newShard(inj *Injector, id int) *shard {
 	sh.exec = newExecutor(inj, shardSeed(inj.cfg.StochasticSeed, id), sh)
 	sh.bookFn = func(types map[string]uint64) {
 		for _, sess := range sh.counted {
-			sess.stats.Seen += sess.batchSeen
-			sess.batchSeen = 0
+			sess.stats.add(&sess.pend)
+			sess.pend, sess.booked = Stats{}, false
 		}
 		for t, n := range sh.exec.typeCounts {
 			types[t] += n
@@ -100,16 +100,17 @@ func newShard(inj *Injector, id int) *shard {
 	return sh
 }
 
-// noteSeen accumulates one Seen count for sess, deferred to the batch's
-// flushBook. Loop-owned.
-func (sh *shard) noteSeen(sess *session) {
-	if sess.batchSeen == 0 {
+// book returns the record sess's counts accumulate in until the batch's
+// flushBook publishes them to the log. Loop-owned.
+func (sh *shard) book(sess *session) *Stats {
+	if !sess.booked {
+		sess.booked = true
 		sh.counted = append(sh.counted, sess)
 	}
-	sess.batchSeen++
+	return &sess.pend
 }
 
-// flushBook publishes the batch's accumulated Seen and per-type message
+// flushBook publishes the batch's accumulated stats and per-type message
 // counts in one log lock round-trip instead of one per message. Counts
 // become externally visible at batch boundaries, matching the
 // Delivered-at-flush semantics.

@@ -30,6 +30,10 @@ type connCounters struct {
 	// label is connLabel(conn), resolved once so per-message trace events
 	// do not concatenate strings on the hot path.
 	label string
+	// watch[id] reports whether compiled rule id watches this connection
+	// (see program.bindWatches). Sessions exist only for proxied
+	// connections, whose counters all carry one.
+	watch []bool
 }
 
 // nopConnCounters serves lookups for connections the injector does not
