@@ -18,23 +18,25 @@ test:
 # everything stays under the race detector on every CI run. The grid and
 # its service run three times over: their lease window, worker queue and
 # flusher interleave differently from run to run, and one pass misses
-# races a second one finds. The switch simulator runs five times: every
-# switch's handlers run on a shard loop, and setConnected, SetLinkDown and
-# data-plane input interleave differently from run to run.
+# races a second one finds. The switch simulator and the event loop it and
+# the injector run on go five times: every switch's handlers run on a shard
+# loop, and setConnected, SetLinkDown and data-plane input interleave
+# differently from run to run.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 ./internal/grid ./internal/gridsvc
-	$(GO) test -race -count=5 ./internal/switchsim
+	$(GO) test -race -count=5 ./internal/evloop ./internal/switchsim
 
 # Coverage ratchet: the language core and its compiler are the packages
-# every generated program flows through, and the grid/service layer is
-# the durability substrate every distributed campaign rides, so their
-# statement coverage is gated with hard floors (coverfloor fails CI
-# below them).
+# every generated program flows through, the grid/service layer is the
+# durability substrate every distributed campaign rides, and the event
+# loop carries every proxied and hosted message, so their statement
+# coverage is gated with hard floors (coverfloor fails CI below them).
 cover:
-	$(GO) test -cover ./internal/core/... ./internal/grid/... ./internal/gridsvc/... ./internal/topo/... > /tmp/attain-cover.txt
+	$(GO) test -cover ./internal/core/... ./internal/evloop/... ./internal/grid/... ./internal/gridsvc/... ./internal/topo/... > /tmp/attain-cover.txt
 	$(GO) run ./docs/ci/coverfloor \
 		attain/internal/core/lang=90 attain/internal/core/compile=90 \
+		attain/internal/evloop=85 \
 		attain/internal/grid=80 attain/internal/gridsvc=80 \
 		attain/internal/topo=80 \
 		< /tmp/attain-cover.txt

@@ -16,7 +16,6 @@ import (
 	"net"
 	"time"
 
-	"attain/internal/clock"
 	"attain/internal/dataplane"
 	"attain/internal/netaddr"
 	"attain/internal/openflow"
@@ -36,8 +35,6 @@ type Config struct {
 	Conn net.Conn
 	// Ports taps at least two data-plane ports.
 	Ports map[uint16]PortIO
-	// Clock paces waits (a scaled clock speeds up timeout checks).
-	Clock clock.Clock
 	// Timeout bounds each expected event (default 2s wall).
 	Timeout time.Duration
 	// ExpectedDPID, when non-zero, is checked against FEATURES_REPLY.
@@ -98,9 +95,6 @@ type framed struct {
 // Checks run in order on one connection; later checks assume earlier
 // cleanup (a flow-table wipe between checks) succeeded.
 func Run(cfg Config) []Result {
-	if cfg.Clock == nil {
-		cfg.Clock = clock.New()
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}

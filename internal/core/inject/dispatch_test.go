@@ -129,7 +129,7 @@ func TestDispatchKeepsRuleOrderAndErrors(t *testing.T) {
 	attack := mixedAttack()
 	inj, sh, sess := shardedLoopback(t, attack, func(cfg *Config) { cfg.LeanLog = false })
 	sw, ctrl := &captureConn{}, &captureConn{}
-	sess.switchSide, sess.ctrlSide = sw, ctrl
+	sess.toSwitch.W, sess.toCtrl.W = sw, ctrl
 
 	frame := func(xid uint32, m openflow.Message) []byte {
 		raw, err := openflow.Marshal(xid, m)

@@ -301,7 +301,6 @@ func (ex *executor) deliver(evSess *session, evConn model.Conn, m outMsg) {
 		sess = ex.inj.sessionFor(m.conn)
 	}
 	if sess != nil && sess.sh == ex.sh {
-		// Delivered is counted at flush time, amortized per batch.
 		ex.sh.queueLocal(sess, m.dir, m.raw)
 		return
 	}
@@ -310,7 +309,7 @@ func (ex *executor) deliver(evSess *session, evConn model.Conn, m outMsg) {
 
 // deliverAsync is the goroutine-safe delivery path: it hands the buffer to
 // the intake of the shard that owns sess, which counts it Delivered when it
-// flushes, and recycles it on any failure. Safe to call from async-delay
+// queues it for the flush, and recycles it on any failure. Safe to call from async-delay
 // timers and foreign shard loops alike.
 func (inj *Injector) deliverAsync(evSess *session, evConn model.Conn, m outMsg) {
 	sess := evSess

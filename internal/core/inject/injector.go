@@ -12,6 +12,7 @@ import (
 	"attain/internal/clock"
 	"attain/internal/core/lang"
 	"attain/internal/core/model"
+	"attain/internal/evloop"
 	"attain/internal/netem"
 	"attain/internal/openflow"
 	"attain/internal/telemetry"
@@ -108,10 +109,9 @@ type Injector struct {
 	// prog is the attack compiled for the executors; read-only after New.
 	prog *program
 	// shards holds the batch-draining event loops; read-only after New.
-	// imbalance counts skew observations between the busiest and idlest
-	// shard (see shard.observeImbalance).
-	shards    []*shard
-	imbalance *telemetry.Counter
+	// loops groups their evloop.Loops for the imbalance probe.
+	shards []*shard
+	loops  *evloop.Group
 
 	mu        sync.Mutex
 	listeners []net.Listener
@@ -165,10 +165,10 @@ type event struct {
 // session is one live proxied control-plane connection: the accepted
 // switch-side conn and the dialed controller-side conn. There are no
 // writer goroutines: the owning shard's loop appends outgoing frames to the
-// per-direction pending lists during a batch and writes each direction
-// with one coalesced flush at batch end, so a slow peer is absorbed by the
+// per-direction sinks during a batch and writes each direction with one
+// coalesced flush at batch end, so a slow peer is absorbed by the
 // transport's buffers — the role the OS socket buffers played for the
-// paper's Python injector. The pending fields are owned by the shard loop
+// paper's Python injector. The sinks are owned by the shard loop
 // exclusively.
 type session struct {
 	conn       model.Conn
@@ -191,20 +191,22 @@ type session struct {
 	pend   Stats
 	booked bool
 
-	sh         *shard
-	pendSwitch [][]byte
-	pendCtrl   [][]byte
-	pendQueued bool
+	sh       *shard
+	toSwitch evloop.Sink
+	toCtrl   evloop.Sink
 }
 
 func newSession(conn model.Conn, swConn, ctrlConn net.Conn, sh *shard) *session {
-	return &session{
+	s := &session{
 		conn:       conn,
 		switchSide: swConn,
 		ctrlSide:   ctrlConn,
 		closed:     make(chan struct{}),
 		sh:         sh,
 	}
+	s.toSwitch = evloop.Sink{W: swConn, Owner: s}
+	s.toCtrl = evloop.Sink{W: ctrlConn, Owner: s}
+	return s
 }
 
 func (s *session) close() {
@@ -257,7 +259,7 @@ func New(cfg Config) (*Injector, error) {
 	if inj.state == nil {
 		inj.state = newLocalState(cfg.Attack.Start)
 	}
-	inj.imbalance = inj.tele.Counter("injector.shards.imbalance")
+	inj.loops = evloop.NewGroup(inj.tele.Counter("injector.shards.imbalance"))
 	inj.shards = make([]*shard, cfg.Shards)
 	for i := range inj.shards {
 		inj.shards[i] = newShard(inj, i)
@@ -429,7 +431,9 @@ func (inj *Injector) serveSession(sess *session) {
 			}
 			ev := eventPool.Get().(*event)
 			*ev = event{kind: EventMessage, conn: sess.conn, dir: dir, raw: raw, sess: sess}
-			if !sh.enqueue(ev) {
+			// Push blocks while the shard's intake is full: backpressure
+			// toward this reader.
+			if !sh.loop.Push(ev) {
 				openflow.PutBuffer(raw)
 				ev.recycle()
 				sess.close()

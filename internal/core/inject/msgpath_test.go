@@ -93,7 +93,7 @@ func (c *captureConn) next(t testing.TB) []byte {
 func push(t testing.TB, sh *shard, sess *session, dir lang.Direction, raw []byte) {
 	ev := eventPool.Get().(*event)
 	*ev = event{kind: EventMessage, conn: sess.conn, dir: dir, raw: raw, sess: sess}
-	if !sh.enqueue(ev) {
+	if !sh.loop.Push(ev) {
 		t.Fatal("shard refused event")
 	}
 }
@@ -101,7 +101,7 @@ func push(t testing.TB, sh *shard, sess *session, dir lang.Direction, raw []byte
 // loop pushes one message and runs one loop iteration inline.
 func loop(t testing.TB, sh *shard, sess *session, dir lang.Direction, raw []byte) {
 	push(t, sh, sess, dir, raw)
-	sh.drainBatch(sh.waitWork())
+	sh.loop.RunOnce(sh.inj.stop)
 }
 
 // TestPassthroughZeroAlloc pins the tentpole invariant: with lean logging
@@ -148,7 +148,7 @@ func TestForwardedFramesPreserveXidBytes(t *testing.T) {
 	)
 	inj, sh, sess := shardedLoopback(t, attack, nil)
 	ctrl := &captureConn{}
-	sess.ctrlSide = ctrl
+	sess.toCtrl.W = ctrl
 
 	const xid = 0xCAFEBABE
 	wire, err := openflow.Marshal(xid, &openflow.BarrierRequest{})

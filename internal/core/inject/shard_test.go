@@ -293,7 +293,7 @@ func TestShardedBatchZeroAlloc(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			push(t, sh, sess, lang.SwitchToController, append(openflow.GetBuffer(), wire...))
 		}
-		sh.drainBatch(sh.waitWork())
+		sh.loop.RunOnce(sh.inj.stop)
 	}
 	step() // warm up stats maps, pools, and pending-list capacity
 	if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
@@ -321,15 +321,18 @@ func TestShutdownRecyclesQueuedFrames(t *testing.T) {
 
 	sh.drainShutdown()
 
-	if n := sh.q.Len(); n != 0 || !sh.q.Stopped() {
-		t.Errorf("intake after shutdown: len=%d stopped=%v", n, sh.q.Stopped())
+	if n := sh.loop.Len(); n != 0 || !sh.loop.Stopped() {
+		t.Errorf("intake after shutdown: len=%d stopped=%v", n, sh.loop.Stopped())
 	}
-	if len(sh.touched) != 0 || len(sess.pendCtrl) != 0 || len(sess.pendSwitch) != 0 || sess.pendQueued {
-		t.Errorf("pending after shutdown: touched=%d ctrl=%d switch=%d queued=%v",
-			len(sh.touched), len(sess.pendCtrl), len(sess.pendSwitch), sess.pendQueued)
+	if sh.loop.Touched() != 0 || sess.toCtrl.Len() != 0 || sess.toSwitch.Len() != 0 {
+		t.Errorf("pending after shutdown: touched=%d ctrl=%d switch=%d",
+			sh.loop.Touched(), sess.toCtrl.Len(), sess.toSwitch.Len())
 	}
 	if got := inj.Log().Stats(sess.conn).Dropped; got != 5 {
 		t.Errorf("Stats.Dropped = %d, want 5", got)
+	}
+	if got := inj.Log().Stats(sess.conn).Delivered; got != 0 {
+		t.Errorf("Stats.Delivered = %d, want 0", got)
 	}
 	if got := tele.Registry().Snapshot()["injector.c1:s1.dropped"]; got != 5 {
 		t.Errorf("injector.c1:s1.dropped = %d, want 5", got)
@@ -361,7 +364,7 @@ func BenchmarkInjectorShardedBatch(b *testing.B) {
 		for j := 0; j < n; j++ {
 			push(b, sh, sess, lang.SwitchToController, append(openflow.GetBuffer(), wire...))
 		}
-		sh.drainBatch(sh.waitWork())
+		sh.loop.RunOnce(sh.inj.stop)
 		done += n
 	}
 }
@@ -386,7 +389,7 @@ func TestBlockingSleepDeliversEarlierMessagesFirst(t *testing.T) {
 				cfg.LeanLog = false
 			})
 			ctrl := &captureConn{}
-			sess.ctrlSide = ctrl
+			sess.toCtrl.W = ctrl
 
 			msgs := []openflow.Message{&openflow.EchoRequest{}, &openflow.BarrierRequest{}, &openflow.EchoReply{}}
 			for i, msg := range msgs {
@@ -399,7 +402,7 @@ func TestBlockingSleepDeliversEarlierMessagesFirst(t *testing.T) {
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				sh.drainBatch(sh.waitWork())
+				sh.loop.RunOnce(sh.inj.stop)
 			}()
 
 			deadline := time.Now().Add(5 * time.Second)
@@ -570,13 +573,13 @@ func TestStopLeavesNothingBehind(t *testing.T) {
 	waitGoroutines(t, before)
 
 	for _, sh := range inj.shards {
-		if n := sh.q.Len(); n != 0 || !sh.q.Stopped() || len(sh.touched) != 0 {
-			t.Errorf("shard %d after Stop: intake=%d stopped=%v touched=%d", sh.id, n, sh.q.Stopped(), len(sh.touched))
+		if n := sh.loop.Len(); n != 0 || !sh.loop.Stopped() || sh.loop.Touched() != 0 {
+			t.Errorf("shard %d after Stop: intake=%d stopped=%v touched=%d", sh.id, n, sh.loop.Stopped(), sh.loop.Touched())
 		}
 	}
 	for _, s := range live {
-		if len(s.pendCtrl) != 0 || len(s.pendSwitch) != 0 {
-			t.Errorf("%s after Stop: %d+%d frames still pending", s.conn, len(s.pendCtrl), len(s.pendSwitch))
+		if s.toCtrl.Len() != 0 || s.toSwitch.Len() != 0 {
+			t.Errorf("%s after Stop: %d+%d frames still pending", s.conn, s.toCtrl.Len(), s.toSwitch.Len())
 		}
 		if st := inj.Log().Stats(s.conn); st.Seen == 0 || st.Seen != st.Delivered+st.Dropped {
 			t.Errorf("%s after Stop: seen %d != delivered %d + dropped %d", s.conn, st.Seen, st.Delivered, st.Dropped)

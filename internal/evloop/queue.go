@@ -1,11 +1,14 @@
-// Package evloop provides the shared machinery of the repo's sharded,
-// batch-draining event loops: a swap-draining intake queue with condvar
-// backpressure and a chunk-bounded write coalescer. The injector's shard
-// core (internal/core/inject) and the shard-hosted switch simulator
-// (internal/switchsim.Host) are both built on it, so the two layers share
-// one set of queue semantics instead of duplicating them.
+// Package evloop is the repo's one batch-draining event loop. Loop[T]
+// drains an intake Queue[T] by swap, hands the events to its caller's
+// handler in chunks of Batch with one clock read per chunk, keeps the
+// per-loop telemetry and the imbalance probe across a Group of sibling
+// loops, and writes every touched Sink (one connection's pending frames)
+// with one coalesced write per chunk. The injector's shard core
+// (internal/core/inject) and the shard-hosted switch simulator
+// (internal/switchsim.Host) both run on it and supply only their event
+// semantics.
 //
-// The queue's contract, inherited from the injector shard loop:
+// The queue's contract:
 //
 //   - Producers Push (blocking when the queue is at capacity — the
 //     backpressure a bounded channel would provide) or PushNoWait
@@ -161,24 +164,6 @@ func (q *Queue[T]) Drain(stop <-chan struct{}) []T {
 			q.space.Broadcast()
 		}
 		q.mu.Lock()
-	}
-	batch := q.intake
-	q.intake = q.spare[:0]
-	q.spare = batch
-	q.cfg.Depth.Set(0)
-	q.mu.Unlock()
-	q.space.Broadcast()
-	return batch
-}
-
-// TryDrain takes the whole queue in one swap without blocking; it returns
-// nil when the queue is empty. The returned slice is valid until the next
-// Drain/TryDrain call.
-func (q *Queue[T]) TryDrain() []T {
-	q.mu.Lock()
-	if len(q.intake) == 0 {
-		q.mu.Unlock()
-		return nil
 	}
 	batch := q.intake
 	q.intake = q.spare[:0]

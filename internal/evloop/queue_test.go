@@ -172,17 +172,6 @@ func TestQueueCloseReleasesBlockedProducers(t *testing.T) {
 	}
 }
 
-func TestQueueTryDrain(t *testing.T) {
-	q := NewQueue[int](Config{})
-	if got := q.TryDrain(); got != nil {
-		t.Fatalf("TryDrain on empty = %v, want nil", got)
-	}
-	q.Push(1)
-	if got := q.TryDrain(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("TryDrain = %v, want [1]", got)
-	}
-}
-
 func TestQueueConcurrentProducers(t *testing.T) {
 	q := NewQueue[int](Config{Capacity: 64})
 	stop := make(chan struct{})
@@ -203,7 +192,10 @@ func TestQueueConcurrentProducers(t *testing.T) {
 	for got < producers*per {
 		select {
 		case <-done:
-			for _, batch := range [][]int{q.TryDrain(), q.TryDrain()} {
+			// Every producer is done: drain the tail without blocking.
+			closed := make(chan struct{})
+			close(closed)
+			for batch := q.Drain(closed); batch != nil; batch = q.Drain(closed) {
 				got += len(batch)
 			}
 			if got != producers*per {

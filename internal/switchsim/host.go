@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"attain/internal/clock"
@@ -22,15 +21,14 @@ import (
 // the session to a shard chosen by DPID hash; from then on one reader
 // goroutine feeds the shard's intake queue and the shard loop owns all of
 // the session's timers (echo liveness, flow expiry) and its outbound
-// writes (coalesced per batch, like the injector's shard core — both ride
-// internal/evloop).
+// writes (coalesced per batch). Each shard is an evloop.Loop, the loop the
+// injector's shard core runs on too.
 //
 // A hosted switch therefore costs one reader goroutine; the shard loops
 // and their tick sources are shared by every switch on the host.
 type Host struct {
-	cfg  HostConfig
-	clk  clock.Clock
-	tele *telemetry.Telemetry
+	cfg HostConfig
+	clk clock.Clock
 
 	shards []*hostShard
 	stop   chan struct{}
@@ -39,8 +37,6 @@ type Host struct {
 	mu       sync.Mutex
 	stopping bool
 	started  bool
-
-	imbalance *telemetry.Counter
 }
 
 // HostConfig parameterizes a Host.
@@ -72,10 +68,6 @@ func (c *HostConfig) setDefaults() {
 	}
 }
 
-// hostBatch bounds how many events one loop iteration processes between
-// flushes.
-const hostBatch = 256
-
 // Event kinds of the hosted control-channel loop. Events are small values
 // (no pooling needed): the queue slices recycle via evloop's swap.
 const (
@@ -94,28 +86,19 @@ type hostEvent struct {
 	buf  []byte
 }
 
-// hostShard is one event loop hosting a subset of the switches.
+// hostShard is one event loop hosting a subset of the switches; the loop
+// mechanism is evloop.Loop's, and this type keeps the hosted sessions'
+// event semantics: open, message, write, close and tick.
 type hostShard struct {
-	h  *Host
-	id int
+	h    *Host
+	loop *evloop.Loop[hostEvent]
 
-	q   *evloop.Queue[hostEvent]
-	out *evloop.Coalescer
-
-	// Loop-owned: the live sessions, those with pending writes this batch,
-	// and the next flow-expiry sweep of every switch admitted so far. A
-	// switch stays in expiry while its session is down: its flows keep
-	// timing out whether or not a controller hears about it.
-	conns   map[*hostedConn]struct{}
-	touched []*hostedConn
-	expiry  map[*Switch]time.Time
-
-	processed atomic.Uint64
-	batchN    uint64
-
-	msgs    *telemetry.Counter
-	batches *telemetry.Counter
-	batchSz *telemetry.Histogram
+	// Loop-owned: the live sessions and the next flow-expiry sweep of every
+	// switch admitted so far. A switch stays in expiry while its session is
+	// down: its flows keep timing out whether or not a controller hears
+	// about it.
+	conns  map[*hostedConn]struct{}
+	expiry map[*Switch]time.Time
 }
 
 // hostedConn is a switch's control channel: sends queue pooled frames to
@@ -129,11 +112,10 @@ type hostedConn struct {
 	once   sync.Once
 
 	// Loop-owned session state (only the shard loop touches these).
-	lastRx     time.Time
-	nextEcho   time.Time
-	pend       [][]byte
-	pendQueued bool
-	open       bool
+	lastRx   time.Time
+	nextEcho time.Time
+	sink     evloop.Sink
+	open     bool
 }
 
 func (hc *hostedConn) close() {
@@ -166,7 +148,7 @@ func (hc *hostedConn) sendAsync(xid uint32, msg openflow.Message) bool {
 		openflow.PutBuffer(buf)
 		return false
 	}
-	if !hc.sh.q.PushNoWait(hostEvent{kind: hevWrite, hc: hc, buf: buf}) {
+	if !hc.sh.loop.PushNoWait(hostEvent{kind: hevWrite, hc: hc, buf: buf}) {
 		openflow.PutBuffer(buf)
 		return false
 	}
@@ -177,30 +159,30 @@ func (hc *hostedConn) sendAsync(xid uint32, msg openflow.Message) bool {
 func NewHost(cfg HostConfig) *Host {
 	cfg.setDefaults()
 	h := &Host{
-		cfg:       cfg,
-		clk:       cfg.Clock,
-		tele:      cfg.Telemetry,
-		stop:      make(chan struct{}),
-		imbalance: cfg.Telemetry.Counter("switchsim.host.imbalance"),
+		cfg:  cfg,
+		clk:  cfg.Clock,
+		stop: make(chan struct{}),
 	}
+	group := evloop.NewGroup(cfg.Telemetry.Counter("switchsim.host.imbalance"))
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &hostShard{
-			h:  h,
-			id: i,
-			// Hosted intake never blocks producers (readers and cross-loop
-			// writes both push without waiting, so loops can never deadlock
-			// on each other's backpressure), so the queue is unbounded and
-			// grows to its high-water mark instead of preallocating one.
-			q: evloop.NewQueue[hostEvent](evloop.Config{
-				Depth: cfg.Telemetry.Gauge(fmt.Sprintf("switchsim.host.shard.%d.queue_depth", i)),
-			}),
-			out:     evloop.NewCoalescer(0),
-			conns:   make(map[*hostedConn]struct{}),
-			expiry:  make(map[*Switch]time.Time),
-			msgs:    cfg.Telemetry.Counter(fmt.Sprintf("switchsim.host.shard.%d.msgs", i)),
-			batches: cfg.Telemetry.Counter(fmt.Sprintf("switchsim.host.shard.%d.batches", i)),
-			batchSz: cfg.Telemetry.Histogram(fmt.Sprintf("switchsim.host.shard.%d.batch_size", i)),
+			h:      h,
+			conns:  make(map[*hostedConn]struct{}),
+			expiry: make(map[*Switch]time.Time),
 		}
+		// Hosted intake never blocks producers (readers and cross-loop
+		// writes both push without waiting, so loops can never deadlock on
+		// each other's backpressure), so the queue is unbounded.
+		sh.loop = evloop.NewLoop(evloop.LoopConfig[hostEvent]{
+			Clock:     cfg.Clock,
+			Telemetry: cfg.Telemetry,
+			Name:      fmt.Sprintf("switchsim.host.shard.%d", i),
+			Group:     group,
+			Handle:    sh.handle,
+			Failed:    func(s *evloop.Sink, _, _ int, _ error) { s.Owner.(*hostedConn).close() },
+			Drop:      dropEvent,
+			Recycle:   openflow.PutBuffer,
+		})
 		h.shards = append(h.shards, sh)
 	}
 	return h
@@ -286,6 +268,7 @@ func (h *Host) Admit(sw *Switch) error {
 		return err
 	}
 	hc := &hostedConn{sw: sw, sh: sh, conn: raw, closed: make(chan struct{})}
+	hc.sink = evloop.Sink{W: raw, Owner: hc}
 
 	// Our HELLO goes out on its own goroutine while the reader waits for
 	// the peer's: over an unbuffered transport each side's HELLO write
@@ -345,7 +328,7 @@ func (h *Host) readLoop(hc *hostedConn, hello <-chan error, hsDone chan<- error)
 		hsDone <- fmt.Errorf("expected HELLO, got %s", msg.Type())
 		hc.close()
 		return
-	case !hc.sh.q.PushNoWait(hostEvent{kind: hevOpen, hc: hc}):
+	case !hc.sh.loop.PushNoWait(hostEvent{kind: hevOpen, hc: hc}):
 		hsDone <- net.ErrClosed
 		hc.close()
 		return
@@ -355,11 +338,11 @@ func (h *Host) readLoop(hc *hostedConn, hello <-chan error, hsDone chan<- error)
 	for {
 		hdr, msg, err := mr.Read()
 		if err != nil {
-			hc.sh.q.PushNoWait(hostEvent{kind: hevClosed, hc: hc})
+			hc.sh.loop.PushNoWait(hostEvent{kind: hevClosed, hc: hc})
 			hc.close()
 			return
 		}
-		hc.sh.q.PushNoWait(hostEvent{kind: hevMsg, hc: hc, hdr: hdr, msg: msg})
+		hc.sh.loop.PushNoWait(hostEvent{kind: hevMsg, hc: hc, hdr: hdr, msg: msg})
 	}
 }
 
@@ -392,16 +375,16 @@ func (h *Host) RetryLater(sw *Switch) {
 	})
 }
 
-// run is the shard loop: drain the intake in swap batches until the host
-// stops, then tear down.
+// run is the shard loop: handle batches until the host stops, then tear
+// down — the loop recycles queued writes and pending frames, and every
+// hosted session is closed.
 func (sh *hostShard) run() {
-	defer sh.shutdown()
-	for {
-		batch := sh.q.Drain(sh.h.stop)
-		if batch == nil {
-			return
-		}
-		sh.drainBatch(batch)
+	sh.loop.Run(sh.h.stop)
+	sh.loop.Close()
+	for hc := range sh.conns {
+		hc.close()
+		hc.open = false
+		delete(sh.conns, hc)
 	}
 }
 
@@ -414,54 +397,33 @@ func (sh *hostShard) tickLoop() {
 		case <-sh.h.stop:
 			return
 		case <-sh.h.clk.After(sh.h.cfg.Tick):
-			sh.q.PushQuiet(hostEvent{kind: hevTick})
+			sh.loop.PushQuiet(hostEvent{kind: hevTick})
 		}
 	}
 }
 
-// drainBatch processes one queue swap in hostBatch-sized chunks with a
-// single clock read per chunk, then flushes every touched session's writes
-// with one coalesced Conn.Write each.
-func (sh *hostShard) drainBatch(events []hostEvent) {
-	for len(events) > 0 {
-		n := len(events)
-		if n > hostBatch {
-			n = hostBatch
+// handle runs one chunk of events stamped now; the loop then flushes every
+// touched session's writes with one coalesced Conn.Write each.
+func (sh *hostShard) handle(chunk []hostEvent, now time.Time) (msgs int) {
+	for i := range chunk {
+		ev := &chunk[i]
+		switch ev.kind {
+		case hevOpen:
+			sh.openConn(ev.hc, now)
+		case hevMsg:
+			ev.hc.lastRx = now
+			ev.hc.sw.handleControl(ev.hc, ev.hdr, ev.msg)
+			msgs++
+		case hevWrite:
+			sh.queueWrite(ev.hc, ev.buf)
+		case hevClosed:
+			sh.dropConn(ev.hc)
+		case hevTick:
+			sh.tick(now)
 		}
-		chunk := events[:n]
-		events = events[n:]
-		now := sh.h.clk.Now()
-		msgs := 0
-		for i := range chunk {
-			ev := &chunk[i]
-			switch ev.kind {
-			case hevOpen:
-				sh.openConn(ev.hc, now)
-			case hevMsg:
-				ev.hc.lastRx = now
-				ev.hc.sw.handleControl(ev.hc, ev.hdr, ev.msg)
-				msgs++
-			case hevWrite:
-				sh.queueWrite(ev.hc, ev.buf)
-			case hevClosed:
-				sh.dropConn(ev.hc)
-			case hevTick:
-				sh.tick(now)
-			}
-			*ev = hostEvent{}
-		}
-		sh.flushAll()
-		sh.batchSz.Observe(int64(n))
-		sh.batches.Inc()
-		if msgs > 0 {
-			sh.msgs.Add(uint64(msgs))
-			sh.processed.Add(uint64(msgs))
-		}
-		sh.batchN++
-		if sh.batchN%64 == 0 && len(sh.h.shards) > 1 {
-			sh.observeImbalance()
-		}
+		*ev = hostEvent{}
 	}
+	return msgs
 }
 
 func (sh *hostShard) openConn(hc *hostedConn, now time.Time) {
@@ -486,11 +448,7 @@ func (sh *hostShard) dropConn(hc *hostedConn) {
 	}
 	hc.open = false
 	delete(sh.conns, hc)
-	for _, fr := range hc.pend {
-		openflow.PutBuffer(fr)
-	}
-	hc.pend = hc.pend[:0]
-	hc.pendQueued = false
+	sh.loop.Discard(&hc.sink)
 	hc.sw.setConnected(false, nil)
 	sh.h.RetryLater(hc.sw)
 }
@@ -504,11 +462,7 @@ func (sh *hostShard) queueWrite(hc *hostedConn, buf []byte) {
 		return
 	default:
 	}
-	hc.pend = append(hc.pend, buf)
-	if !hc.pendQueued {
-		hc.pendQueued = true
-		sh.touched = append(sh.touched, hc)
-	}
+	sh.loop.Send(&hc.sink, buf)
 }
 
 // tick runs the timer checks against the batch timestamp: per session,
@@ -546,59 +500,9 @@ func nextDeadline(prev, now time.Time, interval time.Duration) time.Time {
 	return now.Add(interval)
 }
 
-// flushAll writes every touched session's pending frames with one
-// coalesced write; a write error tears the session down (the reader then
-// delivers hevClosed).
-func (sh *hostShard) flushAll() {
-	for i, hc := range sh.touched {
-		if len(hc.pend) > 0 {
-			if _, err := sh.out.Flush(hc.conn, hc.pend, openflow.PutBuffer); err != nil {
-				hc.close()
-			}
-			hc.pend = hc.pend[:0]
-		}
-		hc.pendQueued = false
-		sh.touched[i] = nil
-	}
-	sh.touched = sh.touched[:0]
-}
-
-// shutdown tears the shard down after the loop exits: recycle queued
-// writes, then close every hosted session and recycle its pending frames.
-func (sh *hostShard) shutdown() {
-	for _, ev := range sh.q.Close() {
-		if ev.kind == hevWrite {
-			openflow.PutBuffer(ev.buf)
-		}
-	}
-	for hc := range sh.conns {
-		hc.close()
-		for _, fr := range hc.pend {
-			openflow.PutBuffer(fr)
-		}
-		hc.pend = nil
-		hc.pendQueued = false
-		hc.open = false
-		delete(sh.conns, hc)
-	}
-	sh.touched = sh.touched[:0]
-}
-
-// observeImbalance mirrors the injector's shard-imbalance probe: bump the
-// host-wide counter when the busiest shard has processed more than twice
-// the idlest (plus one batch of slack).
-func (sh *hostShard) observeImbalance() {
-	min, max := ^uint64(0), uint64(0)
-	for _, other := range sh.h.shards {
-		p := other.processed.Load()
-		if p < min {
-			min = p
-		}
-		if p > max {
-			max = p
-		}
-	}
-	if max > 2*min+hostBatch {
-		sh.h.imbalance.Inc()
+// dropEvent recycles an event still queued when the loop closes.
+func dropEvent(ev hostEvent) {
+	if ev.kind == hevWrite {
+		openflow.PutBuffer(ev.buf)
 	}
 }

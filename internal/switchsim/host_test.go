@@ -371,7 +371,7 @@ func TestHostTickCadence(t *testing.T) {
 		t.Fatalf("second sweep slipped a tick: table still holds %d flows", n)
 	}
 	echoes := 0
-	for _, ev := range sh.q.Close() {
+	for _, ev := range sh.loop.Queue.Close() {
 		if ev.kind == hevWrite {
 			echoes++
 			openflow.PutBuffer(ev.buf)

@@ -79,11 +79,6 @@ type FabricConfig struct {
 	// ProbeInterval paces the controller's LLDP discovery rounds
 	// (default 200ms). Every switch is probed once per interval.
 	ProbeInterval time.Duration
-	// ProbeSlots spreads each discovery round across this many timer-wheel
-	// slots within ProbeInterval, replacing the whole-fabric probe burst
-	// with evenly paced per-slot batches (default: one slot per 32
-	// switches, capped at 16). 1 restores the single-burst behaviour.
-	ProbeSlots int
 	// ProcessingDelay overrides the profile's per-PACKET_IN compute time.
 	ProcessingDelay time.Duration
 	// EchoInterval overrides the switches' liveness probe period; larger
@@ -182,15 +177,6 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 200 * time.Millisecond
-	}
-	if cfg.ProbeSlots <= 0 {
-		cfg.ProbeSlots = (len(cfg.Graph.Switches) + 31) / 32
-		if cfg.ProbeSlots > 16 {
-			cfg.ProbeSlots = 16
-		}
-		if cfg.ProbeSlots < 1 {
-			cfg.ProbeSlots = 1
-		}
 	}
 	if cfg.ProcessingDelay <= 0 {
 		switch cfg.Profile {
@@ -586,7 +572,10 @@ func (f *Fabric) FlapStorm(seed int64, count, rounds int, interval time.Duration
 // whole-fabric burst, on one timer for the entire fabric.
 func (f *Fabric) probeLoop() {
 	defer f.wg.Done()
-	slots := uint64(f.cfg.ProbeSlots)
+	// Each round is spread across one wheel slot per 32 switches (1..16),
+	// evenly paced per-slot batches instead of a whole-fabric burst.
+	nslots := min(max((len(f.cfg.Graph.Switches)+31)/32, 1), 16)
+	slots := uint64(nslots)
 	rounds := f.cfg.Telemetry.Counter("fabric.probe.slots")
 	frames := f.cfg.Telemetry.Counter("fabric.probe.frames")
 	batchHist := f.cfg.Telemetry.Histogram("fabric.probe.batch")
@@ -595,7 +584,7 @@ func (f *Fabric) probeLoop() {
 	// measurable garbage.
 	var conns []*controller.SwitchConn
 	var batch []openflow.Message
-	wheel := NewProbeWheel(f.clk, f.cfg.ProbeInterval, f.cfg.ProbeSlots, func(slot int) {
+	wheel := NewProbeWheel(f.clk, f.cfg.ProbeInterval, nslots, func(slot int) {
 		rounds.Inc()
 		conns = f.Ctrl.SwitchesInto(conns)
 		var slotFrames uint64

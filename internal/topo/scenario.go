@@ -53,8 +53,6 @@ type ScenarioConfig struct {
 	// fast heartbeats double as the poison attack's injection trigger.
 	ProbeInterval time.Duration
 	EchoInterval  time.Duration
-	// LinkMode selects the data-plane realization (default LinkAuto).
-	LinkMode LinkMode
 	// Telemetry, when non-nil, receives the full fabric event stream.
 	Telemetry *telemetry.Telemetry
 
@@ -179,7 +177,6 @@ func RunScenario(cfg ScenarioConfig) (*FabricResult, error) {
 		Profile:        cfg.Profile,
 		Clock:          clk,
 		Telemetry:      cfg.Telemetry,
-		LinkMode:       cfg.LinkMode,
 		ProbeInterval:  cfg.ProbeInterval,
 		EchoInterval:   cfg.EchoInterval,
 		StochasticSeed: cfg.Seed,
