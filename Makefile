@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet build test race cover bench-check grid-bench smoke grid-smoke serve-smoke fabric-smoke synth-smoke fuzz-smoke fuzz-seed clean
+.PHONY: ci vet build test race flake cover bench-check grid-bench smoke grid-smoke serve-smoke fabric-smoke synth-smoke fuzz-smoke fuzz-seed clean
 
-ci: vet build test race cover bench-check grid-bench fuzz-smoke smoke grid-smoke serve-smoke fabric-smoke synth-smoke
+ci: vet build test race flake cover bench-check grid-bench fuzz-smoke smoke grid-smoke serve-smoke fabric-smoke synth-smoke
 
 vet:
 	$(GO) vet ./...
@@ -26,6 +26,13 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 ./internal/grid ./internal/gridsvc
 	$(GO) test -race -count=5 ./internal/evloop ./internal/switchsim
+
+# Flake gate: the fast concurrent packages twenty times over. Their
+# loops, leases and reconnects interleave differently from run to run, and
+# a test that fails one run in thirty passes a single pass. Tier-1 as a
+# whole joins once it runs in seconds.
+flake:
+	$(GO) test -count=20 ./internal/evloop ./internal/switchsim ./internal/core/inject ./internal/grid ./internal/gridsvc
 
 # Coverage ratchet: the language core and its compiler are the packages
 # every generated program flows through, the grid/service layer is the
@@ -56,7 +63,7 @@ grid-bench:
 # End-to-end smoke: one short interruption scenario through the campaign
 # CLI with telemetry tracing on, artifacts written to a scratch directory.
 smoke:
-	$(GO) run ./cmd/attain-campaign -spec examples/campaign/smoke.json -trace -out /tmp/attain-smoke
+	$(GO) run ./cmd/attain campaign -spec examples/campaign/smoke.json -trace -out /tmp/attain-smoke
 	@test -s /tmp/attain-smoke/results.jsonl
 	@ls /tmp/attain-smoke/traces/*.jsonl > /dev/null
 
@@ -65,13 +72,13 @@ smoke:
 # spawn path, frame protocol, leases, and merged artifacts all exercised
 # for real. (internal/grid is also under `make race` via ./...)
 grid-smoke:
-	$(GO) run ./cmd/attain-grid local -spec examples/campaign/grid-smoke.json -workers 2 -out /tmp/attain-grid-smoke
+	$(GO) run ./cmd/attain grid local -spec examples/campaign/grid-smoke.json -workers 2 -out /tmp/attain-grid-smoke
 	@test -s /tmp/attain-grid-smoke/results.jsonl
 	@grep -q '"status":"ok"' /tmp/attain-grid-smoke/results.jsonl
 
-# Service durability smoke: build attain-serve for real, submit a
-# campaign over HTTP, SIGKILL the service mid-run, restart it over the
-# same root, and assert the resumed campaign's results.jsonl is
+# Service durability smoke: build attain for real, run `attain serve`,
+# submit a campaign over HTTP, SIGKILL the service mid-run, restart it
+# over the same root, and assert the resumed campaign's results.jsonl is
 # byte-identical (modulo wall-clock fields) to an uninterrupted
 # single-process run — the checkpoint/restart contract end to end.
 serve-smoke:
@@ -92,12 +99,12 @@ serve-smoke:
 #     -compare` is the regression gate.
 FABRIC_KEEP = index,name,kind,profile,attack,topology,seed,status,fabric.switches,fabric.links,fabric.hosts,fabric.connected,fabric.discovery_converged,fabric.deviation,fabric.flaps_applied
 fabric-smoke:
-	$(GO) run ./cmd/attain-campaign -spec examples/campaign/fabric-smoke.json -out /tmp/attain-fabric-smoke
+	$(GO) run ./cmd/attain campaign -spec examples/campaign/fabric-smoke.json -out /tmp/attain-fabric-smoke
 	@test -s /tmp/attain-fabric-smoke/fabric.csv
 	@grep -q '"connected":true' /tmp/attain-fabric-smoke/results.jsonl
 	@grep -q '"discovery_converged":true' /tmp/attain-fabric-smoke/results.jsonl
 	@grep -q '"deviation":true' /tmp/attain-fabric-smoke/results.jsonl
-	$(GO) run ./cmd/attain-campaign -spec examples/campaign/fabric-smoke-sharded.json -out /tmp/attain-fabric-smoke-sharded
+	$(GO) run ./cmd/attain campaign -spec examples/campaign/fabric-smoke-sharded.json -out /tmp/attain-fabric-smoke-sharded
 	$(GO) run ./docs/ci/canonjsonl -keep $(FABRIC_KEEP) < /tmp/attain-fabric-smoke/results.jsonl > /tmp/attain-fabric-proj-a
 	$(GO) run ./docs/ci/canonjsonl -keep $(FABRIC_KEEP) < /tmp/attain-fabric-smoke-sharded/results.jsonl > /tmp/attain-fabric-proj-b
 	cmp /tmp/attain-fabric-proj-a /tmp/attain-fabric-proj-b
@@ -109,14 +116,14 @@ fabric-smoke:
 # and two same-seed campaign runs must agree on the deterministic
 # projection of results.jsonl (program digests, status, coordinates).
 synth-smoke:
-	$(GO) run ./cmd/attain-synth -count 200 -seed 42 -digest > /tmp/attain-synth-digest-a
-	$(GO) run ./cmd/attain-synth -count 200 -seed 42 -digest > /tmp/attain-synth-digest-b
+	$(GO) run ./cmd/attain synth -count 200 -seed 42 -digest > /tmp/attain-synth-digest-a
+	$(GO) run ./cmd/attain synth -count 200 -seed 42 -digest > /tmp/attain-synth-digest-b
 	cmp /tmp/attain-synth-digest-a /tmp/attain-synth-digest-b
-	$(GO) run ./cmd/attain-synth -count 1000 -seed 42 -verify -digest > /dev/null
-	$(GO) run ./cmd/attain-campaign -spec examples/campaign/synth-smoke.json -out /tmp/attain-synth-smoke-a
+	$(GO) run ./cmd/attain synth -count 1000 -seed 42 -verify -digest > /dev/null
+	$(GO) run ./cmd/attain campaign -spec examples/campaign/synth-smoke.json -out /tmp/attain-synth-smoke-a
 	@test -s /tmp/attain-synth-smoke-a/detect.csv
 	@grep -q '"status":"ok"' /tmp/attain-synth-smoke-a/results.jsonl
-	$(GO) run ./cmd/attain-campaign -spec examples/campaign/synth-smoke.json -out /tmp/attain-synth-smoke-b
+	$(GO) run ./cmd/attain campaign -spec examples/campaign/synth-smoke.json -out /tmp/attain-synth-smoke-b
 	$(GO) run ./docs/ci/canonjsonl < /tmp/attain-synth-smoke-a/results.jsonl > /tmp/attain-synth-proj-a
 	$(GO) run ./docs/ci/canonjsonl < /tmp/attain-synth-smoke-b/results.jsonl > /tmp/attain-synth-proj-b
 	cmp /tmp/attain-synth-proj-a /tmp/attain-synth-proj-b
@@ -125,7 +132,7 @@ synth-smoke:
 # whole programs for FuzzParseAttack, their rule conditions for
 # FuzzParseExpr. Deterministic (seed 42), so re-running is idempotent.
 fuzz-seed:
-	$(GO) run ./cmd/attain-synth -count 16 -seed 42 -corpus internal/core/compile/testdata/fuzz
+	$(GO) run ./cmd/attain synth -count 16 -seed 42 -corpus internal/core/compile/testdata/fuzz
 
 # Short fuzz pass over every Fuzz target (go's -fuzz wants exactly one
 # match per invocation, hence one line per target).

@@ -1,23 +1,8 @@
-// Command attain-conform runs the OpenFlow 1.0 conformance suite (an
-// OFTest-style validation, which the ATTAIN paper's methodology subsumes)
-// against a switch implementation.
-//
-// With no flags it validates the in-tree switchsim switch. With -listen it
-// waits for an external OpenFlow 1.0 switch to dial in over TCP and runs
-// the control-channel checks against it (data-plane checks require port
-// taps and are skipped for external switches).
-//
-// Usage:
-//
-//	attain-conform                      # validate the built-in switch
-//	attain-conform -listen :6653       # validate an external switch
 package main
 
 import (
-	"flag"
 	"fmt"
 	"net"
-	"os"
 	"time"
 
 	"attain/internal/clock"
@@ -26,25 +11,32 @@ import (
 	"attain/internal/switchsim"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "attain-conform:", err)
-		os.Exit(1)
+// runConform runs the OpenFlow 1.0 conformance suite (an OFTest-style
+// validation, which the ATTAIN paper's methodology subsumes) against a
+// switch implementation.
+//
+// With no flags it validates the in-tree switchsim switch. With -listen it
+// waits for an external OpenFlow 1.0 switch to dial in over TCP and runs
+// the control-channel checks against it (data-plane checks require port
+// taps and are skipped for external switches).
+//
+//	attain conform                      # validate the built-in switch
+//	attain conform -listen :6653        # validate an external switch
+func runConform(args []string) error {
+	fs := newFlagSet("conform")
+	listen := fs.String("listen", "", "TCP address to await an external switch on (empty: test the built-in switch)")
+	timeout := fs.Duration("timeout", 3*time.Second, "per-check timeout")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-}
-
-func run() error {
-	listen := flag.String("listen", "", "TCP address to await an external switch on (empty: test the built-in switch)")
-	timeout := flag.Duration("timeout", 3*time.Second, "per-check timeout")
-	flag.Parse()
 
 	if *listen != "" {
-		return runExternal(*listen, *timeout)
+		return conformExternal(*listen, *timeout)
 	}
-	return runBuiltin(*timeout)
+	return conformBuiltin(*timeout)
 }
 
-func runBuiltin(timeout time.Duration) error {
+func conformBuiltin(timeout time.Duration) error {
 	clk := clock.New()
 	tr := netem.NewMemTransport()
 	ln, err := tr.Listen("harness")
@@ -76,12 +68,12 @@ func runBuiltin(timeout time.Duration) error {
 		return err
 	}
 	defer conn.Close()
-	return report(conformance.Run(conformance.Config{
+	return conformReport(conformance.Run(conformance.Config{
 		Conn: conn, Ports: ports, Timeout: timeout, ExpectedDPID: 1,
 	}))
 }
 
-func runExternal(addr string, timeout time.Duration) error {
+func conformExternal(addr string, timeout time.Duration) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -96,12 +88,12 @@ func runExternal(addr string, timeout time.Duration) error {
 	fmt.Printf("switch connected from %s; running control-channel checks\n", conn.RemoteAddr())
 	// No data-plane taps for an external switch: only the checks that
 	// need none will pass; the rest report the missing taps.
-	return report(conformance.Run(conformance.Config{
+	return conformReport(conformance.Run(conformance.Config{
 		Conn: conn, Ports: map[uint16]conformance.PortIO{}, Timeout: timeout,
 	}))
 }
 
-func report(results []conformance.Result) error {
+func conformReport(results []conformance.Result) error {
 	fmt.Print(conformance.Format(results))
 	if _, failed := conformance.Summary(results); failed > 0 {
 		return fmt.Errorf("%d checks failed", failed)

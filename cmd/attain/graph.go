@@ -1,24 +1,6 @@
-// Command attain-graph renders ATTAIN models as Graphviz DOT or text: the
-// data-plane graph N_D, the control-plane relation N_C, and attack state
-// graphs Σ_G, reproducing the paper's Figures 3, 4, 5, 8, 9, 10b, and 12b.
-//
-// Usage:
-//
-//	attain-graph -example fig3 -kind nd          # Figure 3
-//	attain-graph -example fig4 -kind nc          # Figure 4
-//	attain-graph -example enterprise -kind nd    # Figure 8
-//	attain-graph -example enterprise -kind nc    # Figure 9
-//	attain-graph -example trivial                # Figure 5 (attack graph)
-//	attain-graph -example suppression            # Figure 10b
-//	attain-graph -example interruption           # Figure 12b
-//	attain-graph -system sys.attain -kind summary
-//	attain-graph -system sys.attain -attack states.attain
-//	attain-graph -topo fattree:4                 # generated topology, DOT
-//	attain-graph -topo leafspine:4x12x2 -format json
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 
@@ -29,22 +11,33 @@ import (
 	"attain/internal/topo"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "attain-graph:", err)
-		os.Exit(1)
+// runGraph renders ATTAIN models as Graphviz DOT or text: the data-plane
+// graph N_D, the control-plane relation N_C, and attack state graphs Σ_G,
+// reproducing the paper's Figures 3, 4, 5, 8, 9, 10b, and 12b.
+//
+//	attain graph -example fig3 -kind nd          # Figure 3
+//	attain graph -example fig4 -kind nc          # Figure 4
+//	attain graph -example enterprise -kind nd    # Figure 8
+//	attain graph -example enterprise -kind nc    # Figure 9
+//	attain graph -example trivial                # Figure 5 (attack graph)
+//	attain graph -example suppression            # Figure 10b
+//	attain graph -example interruption           # Figure 12b
+//	attain graph -system sys.attain -kind summary
+//	attain graph -system sys.attain -attack states.attain
+//	attain graph -topo fattree:4                 # generated topology, DOT
+//	attain graph -topo leafspine:4x12x2 -format json
+func runGraph(args []string) error {
+	fs := newFlagSet("graph")
+	example := fs.String("example", "", "built-in example: fig3, fig4, enterprise, trivial, suppression, interruption")
+	kind := fs.String("kind", "", "what to render for a system: nd, nc, or summary")
+	systemPath := fs.String("system", "", "system model file to render")
+	attackPath := fs.String("attack", "", "attack states file to render as a state graph")
+	topoDesc := fs.String("topo", "", `generated topology to render, e.g. "fattree:4", "leafspine:4x12x2", "jellyfish:50x5"`)
+	topoSeed := fs.Int64("seed", 1, "generator seed for -topo")
+	format := fs.String("format", "dot", "-topo output format: dot or json")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-}
-
-func run() error {
-	example := flag.String("example", "", "built-in example: fig3, fig4, enterprise, trivial, suppression, interruption")
-	kind := flag.String("kind", "", "what to render for a system: nd, nc, or summary")
-	systemPath := flag.String("system", "", "system model file to render")
-	attackPath := flag.String("attack", "", "attack states file to render as a state graph")
-	topoDesc := flag.String("topo", "", `generated topology to render, e.g. "fattree:4", "leafspine:4x12x2", "jellyfish:50x5"`)
-	topoSeed := flag.Int64("seed", 1, "generator seed for -topo")
-	format := flag.String("format", "dot", "-topo output format: dot or json")
-	flag.Parse()
 
 	if *topoDesc != "" {
 		return renderTopo(*topoDesc, *topoSeed, *format)

@@ -1,133 +1,87 @@
-// Command attain-grid runs a campaign distributed across worker processes:
-// a coordinator shards the expanded scenario matrix over TCP under
-// heartbeat-refreshed leases, workers execute scenarios on isolated
-// testbeds, and results stream back into the same index-ordered artifact
-// store attain-campaign writes — same seed, same bytes.
-//
-// Usage:
-//
-//	attain-grid serve -spec spec.json -out results/ -listen :7117
-//	attain-grid work  -connect host:7117 -slots 2
-//	attain-grid local -spec spec.json -out results/ -workers 3
-//
-// serve expands the spec and waits for workers; work connects to a
-// coordinator and executes leases until the campaign completes; local is
-// the single-machine mode — it starts a coordinator on loopback and
-// auto-spawns -workers worker subprocesses (re-invoking this binary with
-// "work"), so `attain-grid local` is a drop-in parallel attain-campaign.
-//
-// As in attain-campaign, individual scenario failures do not fail the
-// campaign; they are recorded in the artifacts. A worker death or stall
-// mid-scenario expires the lease and the scenario is requeued on another
-// worker, so the campaign completes with a full result set regardless.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"os"
 	"os/exec"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"attain/internal/campaign"
-	"attain/internal/experiment"
 	"attain/internal/grid"
 	"attain/internal/telemetry"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "attain-grid:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string) error {
+// runGrid runs a campaign distributed across worker processes: a
+// coordinator shards the expanded scenario matrix over TCP under
+// heartbeat-refreshed leases, workers execute scenarios on isolated
+// testbeds, and results stream back into the same index-ordered artifact
+// store `attain campaign` writes: same seed, same bytes.
+//
+//	attain grid serve -spec spec.json -out results/ -listen :7117
+//	attain grid work  -connect host:7117 -slots 2
+//	attain grid local -spec spec.json -out results/ -workers 3
+//
+// serve expands the spec and waits for workers; work connects to a
+// coordinator and executes leases until the campaign completes; local is
+// the single-machine mode: it starts a coordinator on loopback and spawns
+// -workers worker subprocesses (re-invoking this binary as
+// `attain grid work`).
+//
+// As in `attain campaign`, individual scenario failures do not fail the
+// campaign; they are recorded in the artifacts. A worker death or stall
+// mid-scenario expires the lease and the scenario is requeued on another
+// worker, so the campaign completes with a full result set regardless.
+func runGrid(args []string) error {
+	const usage = "usage: attain grid <serve|work|local> [flags] (-h per mode for details)"
 	if len(args) < 1 {
-		return fmt.Errorf("usage: attain-grid <serve|work|local> [flags] (-h per mode for details)")
+		return errors.New(usage)
 	}
 	switch args[0] {
+	case "-h", "-help", "--help":
+		fmt.Fprintln(os.Stderr, usage)
+		return flag.ErrHelp
 	case "serve":
-		return runServe(args[1:])
+		return runGridServe(args[1:])
 	case "work":
-		return runWork(args[1:])
+		return runGridWork(args[1:])
 	case "local":
-		return runLocal(args[1:])
+		return runGridLocal(args[1:])
 	default:
-		return fmt.Errorf("unknown mode %q (want serve, work, or local)", args[0])
+		return fmt.Errorf("unknown grid mode %q (want serve, work, or local)", args[0])
 	}
 }
 
-// setupDebug starts the expvar/pprof endpoint and publishes the grid
-// counters on it. The returned telemetry is always enabled so counters
-// are collected even without -debug (they also feed the final summary).
-func setupDebug(addr string) (*telemetry.Telemetry, error) {
+// gridTelemetry starts the -debug endpoint and publishes the grid counters
+// on it. The returned telemetry is always enabled so counters are
+// collected even without -debug.
+func gridTelemetry(debugAddr string) (*telemetry.Telemetry, error) {
 	tel := telemetry.New(telemetry.Options{})
 	tel.PublishExpvar("grid")
-	if addr != "" {
-		bound, err := telemetry.ServeDebug(addr)
-		if err != nil {
-			return nil, fmt.Errorf("start debug server: %w", err)
-		}
-		fmt.Printf("debug endpoints on http://%s/debug/\n", bound)
-	}
-	return tel, nil
+	return tel, startDebug(debugAddr)
 }
 
-// loadScenarios expands a spec file into the campaign's scenario list.
-func loadScenarios(specPath string, trace bool) (*campaign.Spec, []campaign.Scenario, error) {
-	spec, err := campaign.LoadSpec(specPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	matrix, err := spec.Matrix()
-	if err != nil {
-		return nil, nil, err
-	}
-	if trace {
-		matrix.Trace = true
-	}
-	scenarios, err := matrix.Scenarios()
-	if err != nil {
-		return nil, nil, err
-	}
-	return spec, scenarios, nil
-}
-
-// finishCampaign prints the aggregate views and artifact location, as
-// attain-campaign does.
-func finishCampaign(report *campaign.Report, out string) {
-	if supp := report.SuppressionResults(); len(supp) > 0 {
-		fmt.Println()
-		fmt.Print(experiment.RenderFigure11(supp))
-	}
-	if inter := report.InterruptionResults(); len(inter) > 0 {
-		fmt.Println()
-		fmt.Print(experiment.RenderTableII(inter))
-	}
-	fmt.Printf("\nartifacts written to %s\n", out)
-}
-
-func runServe(args []string) error {
-	fs := flag.NewFlagSet("attain-grid serve", flag.ExitOnError)
+func runGridServe(args []string) error {
+	fs := newFlagSet("grid serve")
 	specPath := fs.String("spec", "", "campaign spec file (JSON, required)")
 	out := fs.String("out", "campaign-out", "artifact directory")
 	listen := fs.String("listen", ":7117", "address to accept workers on")
 	lease := fs.Duration("lease", grid.DefaultLeaseTTL, "lease TTL before an unclaimed scenario is requeued")
 	requeues := fs.Int("requeues", grid.DefaultRequeues, "max requeues per scenario before it is recorded failed")
 	trace := fs.Bool("trace", false, "collect per-scenario telemetry traces (written under -out as traces/*.jsonl)")
-	debugAddr := fs.String("debug", "", "serve expvar and pprof debug endpoints on this address (e.g. localhost:6060)")
-	fs.Parse(args)
+	debugAddr := debugFlag(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *specPath == "" {
 		fs.Usage()
 		return fmt.Errorf("-spec is required")
 	}
 
-	tel, err := setupDebug(*debugAddr)
+	tel, err := gridTelemetry(*debugAddr)
 	if err != nil {
 		return err
 	}
@@ -146,7 +100,7 @@ func runServe(args []string) error {
 	fmt.Printf("campaign %q: %d scenarios, accepting workers on %s\n",
 		spec.Name, len(scenarios), ln.Addr())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := interruptContext()
 	defer stop()
 	co := grid.NewCoordinator(grid.CoordinatorConfig{
 		Campaign:  spec.Name,
@@ -162,12 +116,11 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	finishCampaign(report, *out)
-	return nil
+	return printReport(report, *out)
 }
 
-func runWork(args []string) error {
-	fs := flag.NewFlagSet("attain-grid work", flag.ExitOnError)
+func runGridWork(args []string) error {
+	fs := newFlagSet("grid work")
 	connect := fs.String("connect", "", "coordinator address (host:port, required)")
 	name := fs.String("name", "", "worker name (default: local address)")
 	slots := fs.Int("slots", 1, "scenarios to execute in parallel")
@@ -175,18 +128,20 @@ func runWork(args []string) error {
 	retries := fs.Int("retries", 0, "infra-failure retries per scenario (0 = adopt the campaign's)")
 	backoff := fs.Duration("backoff", 0, "base retry backoff (0 = adopt the campaign's)")
 	quiet := fs.Bool("quiet", false, "suppress per-scenario progress lines")
-	debugAddr := fs.String("debug", "", "serve expvar and pprof debug endpoints on this address")
-	fs.Parse(args)
+	debugAddr := debugFlag(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *connect == "" {
 		fs.Usage()
 		return fmt.Errorf("-connect is required")
 	}
 
-	tel, err := setupDebug(*debugAddr)
+	tel, err := gridTelemetry(*debugAddr)
 	if err != nil {
 		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := interruptContext()
 	defer stop()
 	var progress *os.File
 	if !*quiet {
@@ -206,8 +161,8 @@ func runWork(args []string) error {
 	return w.Run(ctx, *connect)
 }
 
-func runLocal(args []string) error {
-	fs := flag.NewFlagSet("attain-grid local", flag.ExitOnError)
+func runGridLocal(args []string) error {
+	fs := newFlagSet("grid local")
 	specPath := fs.String("spec", "", "campaign spec file (JSON, required)")
 	out := fs.String("out", "campaign-out", "artifact directory")
 	workers := fs.Int("workers", 2, "worker subprocesses to spawn")
@@ -216,8 +171,10 @@ func runLocal(args []string) error {
 	requeues := fs.Int("requeues", grid.DefaultRequeues, "max requeues per scenario before it is recorded failed")
 	trace := fs.Bool("trace", false, "collect per-scenario telemetry traces")
 	inprocess := fs.Bool("inprocess", false, "run workers as goroutines instead of subprocesses")
-	debugAddr := fs.String("debug", "", "serve expvar and pprof debug endpoints on this address")
-	fs.Parse(args)
+	debugAddr := debugFlag(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *specPath == "" {
 		fs.Usage()
 		return fmt.Errorf("-spec is required")
@@ -226,7 +183,7 @@ func runLocal(args []string) error {
 		return fmt.Errorf("-workers must be >= 1")
 	}
 
-	tel, err := setupDebug(*debugAddr)
+	tel, err := gridTelemetry(*debugAddr)
 	if err != nil {
 		return err
 	}
@@ -238,7 +195,7 @@ func runLocal(args []string) error {
 	if err != nil {
 		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := interruptContext()
 	defer stop()
 
 	ccfg := grid.CoordinatorConfig{
@@ -267,14 +224,13 @@ func runLocal(args []string) error {
 	if err != nil {
 		return err
 	}
-	finishCampaign(report, *out)
-	return nil
+	return printReport(report, *out)
 }
 
 // runLocalSubprocesses starts the coordinator on an ephemeral loopback
-// port and re-invokes this binary -workers times in "work" mode against
-// it. Workers exit on their own when the coordinator sends DONE; whatever
-// survives the campaign (e.g. after ^C) is killed on return.
+// port and re-invokes this binary -workers times as `attain grid work`
+// against it. Workers exit on their own when the coordinator sends DONE;
+// whatever survives the campaign (e.g. after ^C) is killed on return.
 func runLocalSubprocesses(ctx context.Context, ccfg grid.CoordinatorConfig, workers, slots int) (*campaign.Report, error) {
 	self, err := os.Executable()
 	if err != nil {
@@ -288,7 +244,7 @@ func runLocalSubprocesses(ctx context.Context, ccfg grid.CoordinatorConfig, work
 
 	cmds := make([]*exec.Cmd, 0, workers)
 	for i := 1; i <= workers; i++ {
-		cmd := exec.Command(self, "work",
+		cmd := exec.Command(self, "grid", "work",
 			"-connect", addr,
 			"-name", fmt.Sprintf("worker-%d", i),
 			"-slots", fmt.Sprint(slots),

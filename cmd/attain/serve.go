@@ -1,11 +1,22 @@
-// Command attain-serve is injection-as-a-service: a long-lived HTTP
-// service that accepts campaign specs, runs them on a durable in-process
-// grid (journaled leases + resumable artifact prefixes), and serves live
-// status, SSE progress streams, and artifact downloads.
+package main
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"net/http"
+	"time"
+
+	"attain/internal/gridsvc"
+)
+
+// runServe is injection-as-a-service: a long-lived HTTP service that
+// accepts campaign specs, runs them on a durable in-process grid (journaled
+// leases + resumable artifact prefixes), and serves live status, SSE
+// progress streams, and artifact downloads.
 //
-// Usage:
-//
-//	attain-serve -listen :7118 -root campaigns/
+//	attain serve -listen :7118 -root campaigns/
 //
 // Submit a campaign and watch it:
 //
@@ -16,36 +27,11 @@
 //
 // Durability is the point: every lease decision is journaled and results
 // land as a validated prefix, so killing the process mid-campaign (even
-// SIGKILL) loses nothing — restart attain-serve over the same -root and
+// SIGKILL) loses nothing: restart `attain serve` over the same -root and
 // interrupted campaigns resume where they stopped, producing the same
 // bytes an uninterrupted run would have.
-package main
-
-import (
-	"context"
-	"errors"
-	"flag"
-	"fmt"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
-
-	"attain/internal/gridsvc"
-	"attain/internal/telemetry"
-)
-
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "attain-serve:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string) error {
-	fs := flag.NewFlagSet("attain-serve", flag.ExitOnError)
+func runServe(args []string) error {
+	fs := newFlagSet("serve")
 	listen := fs.String("listen", ":7118", "HTTP address to serve the API on")
 	root := fs.String("root", "campaigns", "directory holding one subdirectory per campaign")
 	workers := fs.Int("workers", 2, "in-process grid workers per campaign")
@@ -54,15 +40,12 @@ func run(args []string) error {
 	steal := fs.Int("steal", 0, "work-steal budget per scenario (0 = grid default, negative disables stealing)")
 	batch := fs.Int("batch", 0, "results per RESULT_BATCH frame (0 = grid default, negative disables batching)")
 	lean := fs.Bool("lean", false, "drop outcomes from coordinator memory once recorded (flat memory on huge campaigns)")
-	debugAddr := fs.String("debug", "", "serve expvar and pprof debug endpoints on this address (e.g. localhost:6060)")
-	fs.Parse(args)
-
-	if *debugAddr != "" {
-		bound, err := telemetry.ServeDebug(*debugAddr)
-		if err != nil {
-			return fmt.Errorf("start debug server: %w", err)
-		}
-		fmt.Printf("debug endpoints on http://%s/debug/\n", bound)
+	debugAddr := debugFlag(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := startDebug(*debugAddr); err != nil {
+		return err
 	}
 
 	svc, err := gridsvc.New(gridsvc.Config{
@@ -90,7 +73,7 @@ func run(args []string) error {
 	srv := &http.Server{Handler: svc.Handler()}
 	fmt.Printf("serving on http://%s\n", ln.Addr())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := interruptContext()
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

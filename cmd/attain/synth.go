@@ -1,30 +1,8 @@
-// Command attain-synth generates seeded, reproducible attack programs from
-// the compiled vocabulary (internal/synth) and emits them as text DSL.
-// The same (seed, index) pair always yields the byte-identical program, on
-// any machine, so the digest of a run is a determinism oracle for grid
-// shards and CI.
-//
-// Usage:
-//
-//	attain-synth -count 10 -seed 42 -topology linear:3x1   # print programs
-//	attain-synth -count 10000 -seed 42 -digest             # print only the fleet digest
-//	attain-synth -count 1000 -seed 42 -verify              # differential round-trip check
-//	attain-synth -count 64 -seed 42 -out progs/            # one .attain file per program
-//	attain-synth -count 32 -seed 42 -corpus internal/core/compile/testdata/fuzz
-//
-// -verify re-parses every emitted program through the production text
-// front end and requires FormatAttack to reproduce it byte-identically,
-// plus structural equality via Describe(); any drift exits 1.
-//
-// -corpus writes Go fuzz seed entries (go test fuzz v1) for FuzzParseAttack
-// (whole programs) and FuzzParseExpr (each program's rule conditions) under
-// the given directory, seeding the compile fuzzers with generator output.
 package main
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -36,22 +14,37 @@ import (
 	"attain/internal/topo"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "attain-synth:", err)
-		os.Exit(1)
+// runSynth generates seeded, reproducible attack programs from the
+// compiled vocabulary (internal/synth) and emits them as text DSL. The
+// same (seed, index) pair always yields the byte-identical program, on any
+// machine, so the digest of a run is a determinism oracle for grid shards
+// and CI.
+//
+//	attain synth -count 10 -seed 42 -topology linear:3x1   # print programs
+//	attain synth -count 10000 -seed 42 -digest             # print only the fleet digest
+//	attain synth -count 1000 -seed 42 -verify              # differential round-trip check
+//	attain synth -count 64 -seed 42 -out progs/            # one .attain file per program
+//	attain synth -count 32 -seed 42 -corpus internal/core/compile/testdata/fuzz
+//
+// -verify re-parses every emitted program through the production text
+// front end and requires FormatAttack to reproduce it byte-identically,
+// plus structural equality via Describe(); any drift exits 1.
+//
+// -corpus writes Go fuzz seed entries (go test fuzz v1) for FuzzParseAttack
+// (whole programs) and FuzzParseExpr (each program's rule conditions) under
+// the given directory, seeding the compile fuzzers with generator output.
+func runSynth(args []string) error {
+	fs := newFlagSet("synth")
+	count := fs.Int("count", 10, "number of programs to generate")
+	seed := fs.Int64("seed", 42, "base seed; program i derives its own seed from (seed, i)")
+	topology := fs.String("topology", "linear:3x1", "topology descriptor providing the system vocabulary")
+	digest := fs.Bool("digest", false, "print only the fleet SHA-256 digest (hash of all program digests, in order)")
+	verify := fs.Bool("verify", false, "differentially verify every program round-trips the text front end byte-identically")
+	out := fs.String("out", "", "write one <name>.attain file per program under this directory instead of stdout")
+	corpus := fs.String("corpus", "", "write Go fuzz corpus seed entries for FuzzParseAttack and FuzzParseExpr under this directory")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-}
-
-func run() error {
-	count := flag.Int("count", 10, "number of programs to generate")
-	seed := flag.Int64("seed", 42, "base seed; program i derives its own seed from (seed, i)")
-	topology := flag.String("topology", "linear:3x1", "topology descriptor providing the system vocabulary")
-	digest := flag.Bool("digest", false, "print only the fleet SHA-256 digest (hash of all program digests, in order)")
-	verify := flag.Bool("verify", false, "differentially verify every program round-trips the text front end byte-identically")
-	out := flag.String("out", "", "write one <name>.attain file per program under this directory instead of stdout")
-	corpus := flag.String("corpus", "", "write Go fuzz corpus seed entries for FuzzParseAttack and FuzzParseExpr under this directory")
-	flag.Parse()
 
 	if *count < 1 {
 		return fmt.Errorf("-count must be >= 1, got %d", *count)
@@ -129,7 +122,7 @@ func run() error {
 		fmt.Println(sum)
 		return nil
 	}
-	fmt.Fprintf(os.Stderr, "attain-synth: %d programs, fleet digest %s\n", *count, sum)
+	fmt.Fprintf(os.Stderr, "attain synth: %d programs, fleet digest %s\n", *count, sum)
 	return nil
 }
 

@@ -18,8 +18,8 @@
 //   - internal/monitor       — ping/iperf monitors and SYSCMD registry
 //   - internal/experiment    — the §VII case study (Figure 11, Table II)
 //
-// Executables are under cmd/ (attain, attain-lab, attain-graph) and
-// runnable examples under examples/. The benchmarks in bench_test.go
+// The one executable is cmd/attain (`attain <subcommand>`); campaign
+// specs, the paper's evaluation among them, are under examples/. The benchmarks in bench_test.go
 // regenerate every table and figure of the paper's evaluation; see
 // DESIGN.md and EXPERIMENTS.md.
 package attain

@@ -1,5 +1,5 @@
-// Command servesmoke is the durability smoke for attain-serve: it builds
-// the real binary, submits a campaign over HTTP, SIGKILLs the service
+// Command servesmoke is the durability smoke for `attain serve`: it
+// builds the real binary, submits a campaign over HTTP, SIGKILLs the service
 // mid-run, restarts it over the same root, waits for the resumed campaign
 // to finish, and asserts the recovered results.jsonl is byte-identical
 // (modulo wall-clock fields) to an uninterrupted single-process run of
@@ -41,7 +41,7 @@ func main() {
 	fmt.Println("servesmoke: PASS")
 }
 
-// server is one attain-serve process plus the base URL scraped from its
+// server is one `attain serve` process plus the base URL scraped from its
 // "serving on http://ADDR" banner.
 type server struct {
 	cmd *exec.Cmd
@@ -52,7 +52,7 @@ type server struct {
 // and waits for the banner. The process must be a real subprocess (not
 // `go run`) so SIGKILL hits the service itself, not a wrapper.
 func startServer(ctx context.Context, bin, root string) (*server, error) {
-	cmd := exec.Command(bin, "-listen", "127.0.0.1:0", "-root", root)
+	cmd := exec.Command(bin, "serve", "-listen", "127.0.0.1:0", "-root", root)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, err
@@ -80,7 +80,7 @@ func startServer(ctx context.Context, bin, root string) (*server, error) {
 		return &server{cmd: cmd, url: "http://" + addr}, nil
 	case <-time.After(15 * time.Second):
 		cmd.Process.Kill()
-		return nil, fmt.Errorf("attain-serve did not announce its address")
+		return nil, fmt.Errorf("attain serve did not announce its address")
 	case <-ctx.Done():
 		cmd.Process.Kill()
 		return nil, ctx.Err()
@@ -127,13 +127,13 @@ func run(specPath, workdir string, timeout time.Duration) error {
 	}
 	root := filepath.Join(workdir, "root")
 
-	// Build the real binary: SIGKILL must hit attain-serve itself, and
+	// Build the real binary: SIGKILL must hit `attain serve` itself, and
 	// `go run` would only kill the wrapper.
-	bin := filepath.Join(workdir, "attain-serve")
-	build := exec.CommandContext(ctx, "go", "build", "-o", bin, "./cmd/attain-serve")
+	bin := filepath.Join(workdir, "attain")
+	build := exec.CommandContext(ctx, "go", "build", "-o", bin, "./cmd/attain")
 	build.Stdout, build.Stderr = os.Stderr, os.Stderr
 	if err := build.Run(); err != nil {
-		return fmt.Errorf("build attain-serve: %w", err)
+		return fmt.Errorf("build attain: %w", err)
 	}
 
 	specData, err := os.ReadFile(specPath)
@@ -167,7 +167,7 @@ func run(specPath, workdir string, timeout time.Duration) error {
 			return fmt.Errorf("poll status: %w", err)
 		}
 		if st.Grid.Done >= 2 {
-			fmt.Printf("killing attain-serve with %d/%d scenarios recorded\n", st.Grid.Done, st.Grid.Total)
+			fmt.Printf("killing attain serve with %d/%d scenarios recorded\n", st.Grid.Done, st.Grid.Total)
 			break
 		}
 		select {

@@ -7,9 +7,10 @@
 //
 // The paper's evaluation (§VII) is exactly such a matrix: {Figure 11
 // suppression, Table II interruption} × {Floodlight, POX, Ryu} ×
-// {fail-safe, fail-secure} × trial counts. cmd/attain-lab executes it
-// through this package; cmd/attain-campaign accepts arbitrary spec files
-// sweeping template-generated attacks across the same axes.
+// {fail-safe, fail-secure} × trial counts. `attain campaign` executes it
+// from spec files (examples/campaign/fig11.json, table2.json,
+// paper-eval.json), and from any other spec sweeping template-generated
+// attacks, topologies or generated programs across the same axes.
 //
 // On top of the serial lab path the runner adds a robustness layer:
 // per-scenario deadlines, retry-with-backoff for infrastructure failures

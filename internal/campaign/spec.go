@@ -12,7 +12,8 @@ import (
 	"attain/internal/topo"
 )
 
-// Spec is the JSON campaign description accepted by cmd/attain-campaign.
+// Spec is the JSON campaign description accepted by `attain campaign`,
+// `attain grid` and `attain serve`.
 // Axes left empty take the Matrix defaults; durations are strings in Go
 // syntax ("90s", "2m30s").
 //

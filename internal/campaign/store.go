@@ -70,43 +70,45 @@ func NewStore(dir string) (*Store, error) {
 // continuation. Because Put streams records in strict index order, an
 // interrupted results.jsonl is always a contiguous prefix [0, n) plus at
 // most one partial line; ResumeStore validates that prefix (each line must
-// be a record whose index matches its position), truncates anything after
-// the last valid record, and returns a Store positioned to append record n
-// next, together with n. The caller skips scenarios with index < n —
+// be a record whose index matches its position and whose status is set),
+// truncates anything after the last valid record, and returns a Store
+// positioned to append record n next, together with the n recorded
+// statuses in index order. The caller skips scenarios with index < n —
 // including ones recorded as failed or skipped; resuming never re-runs a
 // scenario that already has a row. A missing results.jsonl resumes from
 // zero, equivalent to NewStore.
-func ResumeStore(dir string) (*Store, int, error) {
+func ResumeStore(dir string) (*Store, []Status, error) {
 	path := filepath.Join(dir, ResultsFile)
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		s, err := NewStore(dir)
-		return s, 0, err
+		return s, nil, err
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("campaign: resume: %w", err)
+		return nil, nil, fmt.Errorf("campaign: resume: %w", err)
 	}
-	n, keep := validPrefix(data)
+	done, keep := validPrefix(data)
 	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
 	if err != nil {
-		return nil, 0, fmt.Errorf("campaign: resume %s: %w", ResultsFile, err)
+		return nil, nil, fmt.Errorf("campaign: resume %s: %w", ResultsFile, err)
 	}
 	if err := f.Truncate(keep); err != nil {
 		f.Close()
-		return nil, 0, fmt.Errorf("campaign: resume truncate %s: %w", ResultsFile, err)
+		return nil, nil, fmt.Errorf("campaign: resume truncate %s: %w", ResultsFile, err)
 	}
 	if _, err := f.Seek(keep, io.SeekStart); err != nil {
 		f.Close()
-		return nil, 0, fmt.Errorf("campaign: resume seek %s: %w", ResultsFile, err)
+		return nil, nil, fmt.Errorf("campaign: resume seek %s: %w", ResultsFile, err)
 	}
-	return &Store{dir: dir, f: f, next: n, pending: make(map[int]ScenarioResult)}, n, nil
+	return &Store{dir: dir, f: f, next: len(done), pending: make(map[int]ScenarioResult)}, done, nil
 }
 
-// validPrefix scans a results.jsonl byte stream and returns how many
-// leading records are intact (each a JSON object whose index equals its
-// position) and the byte offset just past the last one. A torn final write
-// — a partial line, or a record whose index is wrong — ends the prefix.
-func validPrefix(data []byte) (records int, keep int64) {
+// validPrefix scans a results.jsonl byte stream and returns the statuses
+// of the intact leading records (each a JSON object whose index equals its
+// position and whose status is non-empty) and the byte offset just past
+// the last one. A torn final write — a partial line, or a record whose
+// index or status is wrong — ends the prefix.
+func validPrefix(data []byte) (done []Status, keep int64) {
 	off := 0
 	for off < len(data) {
 		nl := bytes.IndexByte(data[off:], '\n')
@@ -114,15 +116,17 @@ func validPrefix(data []byte) (records int, keep int64) {
 			break // partial trailing line: the interrupted write
 		}
 		var rec struct {
-			Index *int `json:"index"`
+			Index  *int   `json:"index"`
+			Status Status `json:"status"`
 		}
-		if err := json.Unmarshal(data[off:off+nl], &rec); err != nil || rec.Index == nil || *rec.Index != records {
+		if err := json.Unmarshal(data[off:off+nl], &rec); err != nil ||
+			rec.Index == nil || *rec.Index != len(done) || rec.Status == "" {
 			break
 		}
-		records++
+		done = append(done, rec.Status)
 		off += nl + 1
 	}
-	return records, int64(off)
+	return done, int64(off)
 }
 
 // Dir returns the store's artifact directory.

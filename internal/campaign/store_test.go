@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -360,12 +361,12 @@ func TestResumeStoreContinuesInterruptedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done != 3 {
-		t.Fatalf("ResumeStore found %d complete records, want 3", done)
+	if len(done) != 3 {
+		t.Fatalf("ResumeStore found %d complete records, want 3", len(done))
 	}
 	// Run the remaining scenarios through the ordinary runner path.
 	r := NewRunner(RunnerConfig{Workers: 2, Execute: stochasticExec, Store: resumed})
-	report, err := r.Run(context.Background(), scenarios[done:])
+	report, err := r.Run(context.Background(), scenarios[len(done):])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,8 +395,8 @@ func TestResumeStoreFreshDirectoryStartsFromZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done != 0 {
-		t.Fatalf("fresh dir resumed at %d, want 0", done)
+	if len(done) != 0 {
+		t.Fatalf("fresh dir resumed at %d, want 0", len(done))
 	}
 	if err := store.Put(ScenarioResult{Scenario: testScenarios(1)[0], Status: StatusOK, Attempts: 1}); err != nil {
 		t.Fatal(err)
@@ -416,8 +417,8 @@ func TestResumeStoreStopsAtIndexGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done != 1 {
-		t.Fatalf("resume past an index gap: done=%d, want 1", done)
+	if len(done) != 1 {
+		t.Fatalf("resume past an index gap: done=%d, want 1", len(done))
 	}
 	// The out-of-prefix tail must be truncated away so re-runs cannot
 	// duplicate index 2.
@@ -425,4 +426,43 @@ func TestResumeStoreStopsAtIndexGap(t *testing.T) {
 	if bytes.Count(data, []byte("\n")) != 1 {
 		t.Fatalf("truncation failed, file still holds: %s", data)
 	}
+}
+
+// TestReadRecordPrefixTornTail verifies the statuses ResumeStore returns:
+// position-mismatched, status-less or torn lines end the prefix.
+func TestReadRecordPrefixTornTail(t *testing.T) {
+	for _, tc := range []struct {
+		name, lines string
+		want        []Status
+	}{
+		{"index gap", `{"index":0,"status":"ok"}
+{"index":1,"status":"failed"}
+{"index":5,"status":"ok"}
+`, []Status{StatusOK, StatusFailed}},
+		{"empty status", `{"index":0,"status":"ok"}
+{"index":1,"status":""}
+{"index":2,"status":"ok"}
+`, []Status{StatusOK}},
+		{"torn tail", `{"index":0,"status":"skipped"}
+{"index":1,"sta`, []Status{StatusSkipped}},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, ResultsFile), []byte(tc.lines), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store, done, err := ResumeStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Abort()
+		if !slices.Equal(done, tc.want) {
+			t.Errorf("%s: prefix = %v, want %v", tc.name, done, tc.want)
+		}
+	}
+	// Missing file = empty prefix, not an error.
+	store, done, err := ResumeStore(t.TempDir())
+	if err != nil || len(done) != 0 {
+		t.Errorf("missing results.jsonl: prefix=%v err=%v, want empty, nil", done, err)
+	}
+	store.Abort()
 }

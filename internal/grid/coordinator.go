@@ -348,7 +348,9 @@ func (c *Coordinator) Serve(ctx context.Context, ln net.Listener) (*campaign.Rep
 	c.mu.Unlock()
 
 	// Accept loop: runs until the listener closes (campaign end).
+	accepting := make(chan struct{})
 	go func() {
+		defer close(accepting)
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
@@ -399,6 +401,9 @@ loop:
 	}
 	c.mu.Unlock()
 	ln.Close()
+	// Every conns.Add happens on the accept loop: wait for it to exit
+	// before Wait, which must not run concurrently with an Add from zero.
+	<-accepting
 	conns.Wait()
 
 	if aborted {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -527,11 +528,11 @@ func TestCoordinatorAbortLeavesResumablePrefix(t *testing.T) {
 		t.Error("aborted store contains skip records — abort must be crash-equivalent")
 	}
 	// The prefix must be resumable and the remaining scenarios re-runnable.
-	resumed, n, err := campaign.ResumeStore(dir)
+	resumed, done, err := campaign.ResumeStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n < 1 || n >= len(scenarios) {
+	if n := len(done); n < 1 || n >= len(scenarios) {
 		t.Fatalf("resume watermark = %d, want in [1, %d)", n, len(scenarios))
 	}
 	resumed.Abort()
@@ -574,13 +575,19 @@ func TestGridRunLoopCompletesAndStatusReports(t *testing.T) {
 		served <- outcome{rep, err}
 	}()
 
-	errc := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		w := NewWorker(WorkerConfig{
+	// As gridsvc does, cancel the workers once Serve returns: RunLoop
+	// re-dials a closed port until cancelled.
+	wctx, cancelWorkers := context.WithCancel(context.Background())
+	defer cancelWorkers()
+	workers := make([]*Worker, 2)
+	errc := make([]chan error, len(workers))
+	for i := range workers {
+		workers[i] = NewWorker(WorkerConfig{
 			Slots:  2,
 			Runner: campaign.RunnerConfig{Execute: gridExec},
 		})
-		go func() { errc <- w.RunLoop(context.Background(), addrOf(ln)) }()
+		errc[i] = make(chan error, 1)
+		go func(w *Worker, errc chan<- error) { errc <- w.RunLoop(wctx, addrOf(ln)) }(workers[i], errc[i])
 	}
 
 	// While the campaign runs, the snapshot exposes connected workers and
@@ -618,16 +625,44 @@ func TestGridRunLoopCompletesAndStatusReports(t *testing.T) {
 	if !st.Finished || st.Done != len(scenarios) || st.Pending != 0 || st.Leased != 0 {
 		t.Errorf("final status = %+v, want finished with %d done", st, len(scenarios))
 	}
-	// RunLoop returns nil when the campaign completes (DONE received).
-	for i := 0; i < 2; i++ {
+	// A worker the coordinator welcomed has DONE in its socket by the time
+	// Serve returns, and RunLoop must return nil for it. A worker that
+	// never got in before its peer finished the campaign re-dials the
+	// closed port until cancelled. So: snapshot who was welcomed, collect
+	// their nil returns, then cancel the rest (cancelling first would race
+	// DONE), which may end on the cancellation or on a late DONE.
+	welcomed := make([]bool, len(workers))
+	for i, w := range workers {
+		w.mu.Lock()
+		welcomed[i] = w.runner != nil
+		w.mu.Unlock()
+	}
+	collect := func(i int) error {
 		select {
-		case err := <-errc:
-			if err != nil {
-				t.Errorf("RunLoop returned %v, want nil after DONE", err)
-			}
+		case err := <-errc[i]:
+			return err
 		case <-time.After(10 * time.Second):
-			t.Fatal("worker RunLoop did not return after DONE")
+			t.Fatalf("worker %d (welcomed=%v): RunLoop did not return", i, welcomed[i])
+			return nil
 		}
+	}
+	for i := range workers {
+		if welcomed[i] {
+			if err := collect(i); err != nil {
+				t.Errorf("worker %d: RunLoop returned %v, want nil after DONE", i, err)
+			}
+		}
+	}
+	cancelWorkers()
+	for i := range workers {
+		if !welcomed[i] {
+			if err := collect(i); err != nil && !errors.Is(err, context.Canceled) {
+				t.Errorf("worker %d never welcomed: RunLoop returned %v, want nil or context.Canceled", i, err)
+			}
+		}
+	}
+	if !welcomed[0] && !welcomed[1] {
+		t.Error("no worker was welcomed, yet the campaign finished")
 	}
 }
 

@@ -25,7 +25,7 @@
 // coordinator applies a frame's results in one scheduler pass. They land
 // in the existing index-ordered campaign.Store, so a grid run's results.jsonl
 // (canonicalized) and CSV aggregates are byte-identical to a
-// single-process attain-campaign run with the same seed: scenario seeds
+// single-process `attain campaign` run with the same seed: scenario seeds
 // are derived from names by the matrix, the store orders records by index
 // regardless of which worker finished when, and workers execute with the
 // same campaign.Runner policy (per-scenario deadline, infra-retry with

@@ -24,8 +24,8 @@ type LocalConfig struct {
 // RunLocal runs a full grid campaign inside one process: a coordinator on
 // a loopback listener plus N workers connected to it over real TCP. The
 // protocol, lease machinery, and store path are exactly the distributed
-// ones — only process boundaries are elided. cmd/attain-grid's local mode
-// spawns true subprocesses instead; this entry point serves tests and
+// ones — only process boundaries are elided. `attain grid local` spawns
+// true subprocesses instead; this entry point serves tests and
 // embedding.
 func RunLocal(ctx context.Context, cfg LocalConfig) (*campaign.Report, error) {
 	if cfg.Workers < 1 {

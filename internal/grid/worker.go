@@ -211,6 +211,13 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 // slots keep draining the queue while the connection is down. Returns nil
 // when the campaign completes, the coordinator's rejection for terminal
 // handshake failures, or ctx's error once cancelled.
+//
+// RunLoop re-dials until ctx is cancelled: over TCP alone a worker cannot
+// tell a coordinator that finished the campaign and closed its port from
+// one that is restarting. A worker that has not been welcomed by the time
+// the campaign ends never sees DONE, so the caller must cancel ctx once
+// its coordinator's Serve returns. Run is the call that ends on a closed
+// port.
 func (w *Worker) RunLoop(ctx context.Context, addr string) error {
 	defer w.start(ctx)()
 	backoff := w.cfg.Reconnect

@@ -162,17 +162,19 @@ func StartCampaign(id, dir string, spec *campaign.Spec, opts Options, resume boo
 	var store *campaign.Store
 	var restore *grid.Restore
 	if resume {
-		done, err := readRecordPrefix(dir)
+		var recorded []campaign.Status
+		store, recorded, err = campaign.ResumeStore(dir)
 		if err != nil {
 			return nil, err
 		}
 		grants, excluded, err := ReplayJournal(dir)
 		if err != nil {
+			store.Abort()
 			return nil, err
 		}
-		store, _, err = campaign.ResumeStore(dir)
-		if err != nil {
-			return nil, err
+		done := make(map[int]campaign.Status, len(recorded))
+		for i, status := range recorded {
+			done[i] = status
 		}
 		restore = &grid.Restore{Done: done, Grants: grants, Excluded: excluded}
 		opts.logf("campaign %s: resuming with %d/%d scenarios recorded", id, len(done), len(scenarios))

@@ -3,7 +3,7 @@
 // the store's resumable results.jsonl prefix), keeps workers attached
 // across coordinator restarts, and fronts everything with an HTTP API —
 // campaign submission, live status, an SSE progress stream, and artifact
-// download. cmd/attain-serve is the CLI entry point.
+// download. `attain serve` is the CLI entry point.
 package gridsvc
 
 import (
@@ -127,7 +127,7 @@ func (j *Journal) Close() error {
 // ReplayJournal reads dir's journal and rebuilds the requeue bookkeeping
 // for grid.Restore: per-scenario grant counts (the requeue budget already
 // consumed) and exclusion sets. Completion statuses deliberately come
-// from the results.jsonl prefix (readRecordPrefix), not the journal — a
+// from the results.jsonl prefix (campaign.ResumeStore), not the journal — a
 // scenario the journal says completed but whose record write was lost
 // must re-run. Replay stops at the first torn or invalid line; a missing
 // journal replays empty.
@@ -169,38 +169,4 @@ func ReplayJournal(dir string) (grants map[int]int, excluded map[int][]string, e
 		}
 	}
 	return grants, excluded, nil
-}
-
-// readRecordPrefix parses dir's results.jsonl the same way
-// campaign.ResumeStore validates it — each line must be a record whose
-// index equals its position — and returns the statuses of the valid
-// prefix. These are the scenarios a restarted coordinator must not re-run.
-func readRecordPrefix(dir string) (map[int]campaign.Status, error) {
-	done := make(map[int]campaign.Status)
-	data, err := os.ReadFile(filepath.Join(dir, campaign.ResultsFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return done, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("gridsvc: read record prefix: %w", err)
-	}
-	off, next := 0, 0
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break
-		}
-		var rec struct {
-			Index  *int   `json:"index"`
-			Status string `json:"status"`
-		}
-		if err := json.Unmarshal(data[off:off+nl], &rec); err != nil ||
-			rec.Index == nil || *rec.Index != next || rec.Status == "" {
-			break
-		}
-		done[next] = campaign.Status(rec.Status)
-		next++
-		off += nl + 1
-	}
-	return done, nil
 }

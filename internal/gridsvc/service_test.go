@@ -145,31 +145,6 @@ func TestJournalReplayTornTail(t *testing.T) {
 	}
 }
 
-// TestReadRecordPrefixTornTail verifies record-prefix parsing matches
-// ResumeStore semantics: position-mismatched or torn lines end the prefix.
-func TestReadRecordPrefixTornTail(t *testing.T) {
-	dir := t.TempDir()
-	lines := `{"index":0,"status":"ok"}
-{"index":1,"status":"failed"}
-{"index":5,"status":"ok"}
-`
-	if err := os.WriteFile(filepath.Join(dir, campaign.ResultsFile), []byte(lines), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	done, err := readRecordPrefix(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(done) != 2 || done[0] != campaign.StatusOK || done[1] != campaign.StatusFailed {
-		t.Errorf("prefix = %v, want {0:ok, 1:failed}", done)
-	}
-	// Missing file = empty prefix, not an error.
-	empty, err := readRecordPrefix(t.TempDir())
-	if err != nil || len(empty) != 0 {
-		t.Errorf("missing results.jsonl: prefix=%v err=%v, want empty, nil", empty, err)
-	}
-}
-
 // TestServiceSubmitLifecycle drives the full HTTP surface: submit, poll
 // status, list, SSE stream, artifact listing and download — and checks the
 // downloaded results.jsonl is byte-identical to a single-process run.

@@ -28,7 +28,7 @@ func finishInjectorObservations(f *Fabric, detector inject.DetectionHook, res *F
 
 // ScenarioConfig describes one fabric-scale experiment: a topology, a
 // controller profile, and a topology-level attack, plus timing knobs.
-// Both campaign's fabric kind and cmd/attain-fabric run through it.
+// The campaign's fabric kind runs through it.
 type ScenarioConfig struct {
 	// Topology is a generator descriptor, e.g. "leafspine:4x12x2".
 	Topology string
