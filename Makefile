@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet build test race flake cover bench-check grid-bench smoke grid-smoke serve-smoke fabric-smoke synth-smoke fuzz-smoke fuzz-seed clean
+.PHONY: ci vet build test race flake sim cover bench-check grid-bench smoke grid-smoke serve-smoke fabric-smoke synth-smoke fuzz-smoke fuzz-seed clean
 
-ci: vet build test race flake cover bench-check grid-bench fuzz-smoke smoke grid-smoke serve-smoke fabric-smoke synth-smoke
+ci: vet build test race flake sim cover bench-check grid-bench fuzz-smoke smoke grid-smoke serve-smoke fabric-smoke synth-smoke
 
 vet:
 	$(GO) vet ./...
@@ -33,6 +33,14 @@ race:
 # whole joins once it runs in seconds.
 flake:
 	$(GO) test -count=20 ./internal/evloop ./internal/switchsim ./internal/core/inject ./internal/grid ./internal/gridsvc
+
+# Virtual-time lane: the whole suite again with testing/synctest built in.
+# Files under `//go:build goexperiment.synctest` replay Table II, Fig. 11,
+# conformance and fabric-sweep.json at TimeScale 1 in internal/simlane
+# bubbles, where every wait is virtual: each scenario takes milliseconds
+# of wall time, and baseline rows are asserted to the nanosecond.
+sim:
+	GOEXPERIMENT=synctest $(GO) test ./...
 
 # Coverage ratchet: the language core and its compiler are the packages
 # every generated program flows through, the grid/service layer is the

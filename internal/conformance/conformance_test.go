@@ -15,13 +15,23 @@ import (
 // accepted control connection plus port taps.
 func startSUT(t *testing.T, tweak func(*switchsim.Config)) (net.Conn, map[uint16]PortIO) {
 	t.Helper()
+	conn, ports, err := bootSUT(t.Cleanup, tweak)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn, ports
+}
+
+// bootSUT is startSUT with teardown handed to cleanup, so a caller that
+// must stop everything before returning (a virtual-time bubble) can run it.
+func bootSUT(cleanup func(func()), tweak func(*switchsim.Config)) (net.Conn, map[uint16]PortIO, error) {
 	clk := clock.New()
 	tr := netem.NewMemTransport()
 	ln, err := tr.Listen("harness")
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	t.Cleanup(func() { ln.Close() })
+	cleanup(func() { ln.Close() })
 
 	cfg := switchsim.Config{
 		Name: "sut", DPID: 0xD1, ControllerAddr: "harness", Transport: tr,
@@ -45,14 +55,14 @@ func startSUT(t *testing.T, tweak func(*switchsim.Config)) (net.Conn, map[uint16
 		ports[no] = PortIO{Send: in, Recv: recv}
 	}
 	sut.Start()
-	t.Cleanup(sut.Stop)
+	cleanup(sut.Stop)
 
 	conn, err := ln.Accept()
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	t.Cleanup(func() { conn.Close() })
-	return conn, ports
+	cleanup(func() { conn.Close() })
+	return conn, ports, nil
 }
 
 func TestSwitchsimPassesConformance(t *testing.T) {

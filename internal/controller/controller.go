@@ -88,7 +88,11 @@ type Controller struct {
 	stats    Stats
 	started  bool
 
-	eventMu sync.Mutex // serializes PACKET_IN when SingleThreaded
+	// eventSem serializes PACKET_IN when SingleThreaded. It is a one-slot
+	// channel, not a mutex, because it is held across the processing-delay
+	// sleep: a goroutine waiting on a channel is durably blocked, which
+	// lets a virtual clock advance past that sleep.
+	eventSem chan struct{}
 
 	xid  atomic.Uint32
 	stop chan struct{}
@@ -107,6 +111,7 @@ func New(cfg Config, clk clock.Clock) *Controller {
 		ctrs:     buildCtrlCounters(cfg.Telemetry, cfg.Name),
 		switches: make(map[uint64]*SwitchConn),
 		conns:    make(map[*SwitchConn]struct{}),
+		eventSem: make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 	}
 }
@@ -366,14 +371,14 @@ func (c *Controller) dispatch(sw *SwitchConn, hdr openflow.Header, msg openflow.
 		c.mu.Unlock()
 		c.ctrs.packetIns.Inc()
 		if c.cfg.SingleThreaded {
-			c.eventMu.Lock()
+			c.eventSem <- struct{}{}
 		}
 		if c.cfg.ProcessingDelay > 0 {
 			c.clk.Sleep(c.cfg.ProcessingDelay)
 		}
 		c.cfg.App.PacketIn(sw, m)
 		if c.cfg.SingleThreaded {
-			c.eventMu.Unlock()
+			<-c.eventSem
 		}
 	case *openflow.PortStatus:
 		if hook, ok := c.cfg.App.(StatusHook); ok {

@@ -82,6 +82,8 @@ type Worker struct {
 	ctrLeases     *telemetry.Counter
 	ctrResults    *telemetry.Counter
 	ctrBatches    *telemetry.Counter
+	ctrFlushFull  *telemetry.Counter
+	ctrFlushIdle  *telemetry.Counter
 	ctrHeartbeats *telemetry.Counter
 	ctrReconnects *telemetry.Counter
 }
@@ -97,6 +99,8 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		ctrLeases:     cfg.Telemetry.Counter("grid.worker.leases_received"),
 		ctrResults:    cfg.Telemetry.Counter("grid.worker.results_sent"),
 		ctrBatches:    cfg.Telemetry.Counter("grid.worker.batches_sent"),
+		ctrFlushFull:  cfg.Telemetry.Counter("grid.worker.flush_full"),
+		ctrFlushIdle:  cfg.Telemetry.Counter("grid.worker.flush_idle"),
 		ctrHeartbeats: cfg.Telemetry.Counter("grid.worker.heartbeats_sent"),
 		ctrReconnects: cfg.Telemetry.Counter("grid.worker.reconnects"),
 	}
@@ -397,11 +401,17 @@ func (w *Worker) deliver(res campaign.ScenarioResult) {
 		// result lands and refills only then, so holding the result back
 		// would idle the slot until a sibling finishes or the next
 		// heartbeat.
-		due := len(w.batch) >= w.cfg.BatchResults || len(w.queue) == 0
+		full := len(w.batch) >= w.cfg.BatchResults
+		idle := len(w.queue) == 0
 		w.mu.Unlock()
-		if due {
+		if full || idle {
 			select {
 			case w.flushDue <- struct{}{}:
+				if full {
+					w.ctrFlushFull.Inc()
+				} else {
+					w.ctrFlushIdle.Inc()
+				}
 			default: // already requested
 			}
 		}

@@ -149,8 +149,9 @@ func (c *bufConn) Close() error {
 func (c *bufConn) LocalAddr() net.Addr  { return memAddr(c.local) }
 func (c *bufConn) RemoteAddr() net.Addr { return memAddr(c.local) }
 
-// Deadlines are not implemented: the transports' users (injector pumps,
-// switch and controller framers) use blocking reads terminated by Close.
+// Deadlines are not implemented: the transports' users (the injector's and
+// switch host's connection readers, the controller's framer) use blocking
+// reads terminated by Close.
 func (c *bufConn) SetDeadline(time.Time) error      { return nil }
 func (c *bufConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *bufConn) SetWriteDeadline(time.Time) error { return nil }

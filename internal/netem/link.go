@@ -12,7 +12,8 @@ import (
 	"attain/internal/clock"
 )
 
-// DefaultQueueLen is the per-direction frame queue capacity.
+// DefaultQueueLen is the default per-direction bound on frames waiting
+// for the wire (LinkConfig.QueueLen).
 const DefaultQueueLen = 256
 
 // LinkConfig describes one link's characteristics. The zero value means an
@@ -23,14 +24,10 @@ type LinkConfig struct {
 	BandwidthBps int64
 	// Latency is the one-way propagation delay.
 	Latency time.Duration
-	// QueueLen is the per-direction queue capacity in frames; 0 means
-	// DefaultQueueLen.
+	// QueueLen bounds, per direction, the frames whose serialization has
+	// not started yet; 0 means DefaultQueueLen. The frame on the wire and
+	// frames in propagation do not count against it.
 	QueueLen int
-	// Coalesce is the smallest pacing wait the link actually sleeps for;
-	// shorter waits are accumulated and paid in bursts. This keeps the
-	// average rate exact when per-frame transmission times fall below the
-	// OS sleep granularity (scaled clocks). 0 means 2 ms.
-	Coalesce time.Duration
 	// LossProb drops each frame independently with this probability,
 	// modelling a lossy medium. Drawn from a deterministic per-pipe
 	// generator seeded with LossSeed for reproducible runs.
@@ -59,8 +56,9 @@ type Link struct {
 	b2a *pipe
 }
 
-// NewLink creates a link. Its per-direction goroutines start lazily on
-// first use, so an idle link costs none; call Close to stop them.
+// NewLink creates a link. Each direction runs one delivery goroutine while
+// frames are in flight on it and none while it is idle; call Close to stop
+// any that are running.
 func NewLink(clk clock.Clock, cfg LinkConfig) *Link {
 	return &Link{
 		a2b: newPipe(clk, cfg),
@@ -80,8 +78,8 @@ func (l *Link) StatsA2B() LinkStats { return l.a2b.stats() }
 // StatsB2A returns counters for the B-to-A direction.
 func (l *Link) StatsB2A() LinkStats { return l.b2a.stats() }
 
-// Close stops the link's goroutines and waits for them to exit. Frames
-// still in flight are discarded.
+// Close stops the link's delivery goroutines and waits for them to exit.
+// Frames still in flight are discarded.
 func (l *Link) Close() {
 	l.a2b.close()
 	l.b2a.close()
@@ -117,53 +115,45 @@ func (p *Port) Up() {
 	p.recv.setDown(false)
 }
 
-// timed pairs a frame with its scheduled delivery instant.
+// timed is a frame in flight, stamped at enqueue with the instant its
+// serialization starts and the instant it reaches the far side.
 type timed struct {
 	frame     []byte
+	txStart   time.Time
 	deliverAt time.Time
 }
 
-// pipe is one direction of a link: a serializer stage models bandwidth, a
-// propagation stage models latency, and delivery preserves order.
-//
-// The two stage goroutines start lazily on the first enqueued frame: a
-// fabric-scale topology instantiates thousands of links at bring-up, most
-// of them idle until traffic arrives, and an idle link must cost zero
-// goroutines.
+// pipe is one direction of a link: a FIFO of frames in flight, each with
+// its delivery instant. enqueue computes the instants from the busy-until
+// horizon of the wire, so bandwidth and latency cost no goroutine; one
+// delivery goroutine runs while the FIFO is non-empty, waits on the clock
+// for the head frame, and exits when the FIFO drains.
 type pipe struct {
-	clk clock.Clock
-	cfg LinkConfig
-
-	in   chan []byte
-	prop chan timed
+	clk  clock.Clock
+	cfg  LinkConfig
+	rng  *rand.Rand // nil unless cfg.LossProb > 0
 	stop chan struct{}
-	done chan struct{}
+	wg   sync.WaitGroup
 
-	mu      sync.Mutex
-	recv    func([]byte)
-	down    bool
-	started bool
-	closed  bool
-	rng     *rand.Rand
-	st      LinkStats
+	mu        sync.Mutex
+	recv      func([]byte)
+	down      bool
+	closed    bool
+	running   bool      // a delivery goroutine is draining q
+	busyUntil time.Time // when the wire finishes the last frame queued
+	q         []timed
+	st        LinkStats
 }
 
 func newPipe(clk clock.Clock, cfg LinkConfig) *pipe {
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = DefaultQueueLen
 	}
-	if cfg.Coalesce <= 0 {
-		cfg.Coalesce = 2 * time.Millisecond
+	p := &pipe{clk: clk, cfg: cfg, stop: make(chan struct{})}
+	if cfg.LossProb > 0 {
+		p.rng = rand.New(rand.NewSource(cfg.LossSeed + 1))
 	}
-	return &pipe{
-		clk:  clk,
-		cfg:  cfg,
-		in:   make(chan []byte, cfg.QueueLen),
-		prop: make(chan timed, cfg.QueueLen),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-		rng:  rand.New(rand.NewSource(cfg.LossSeed + 1)),
-	}
+	return p
 }
 
 func (p *pipe) setReceiver(fn func([]byte)) {
@@ -178,12 +168,6 @@ func (p *pipe) setDown(down bool) {
 	p.down = down
 }
 
-func (p *pipe) isDown() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.down
-}
-
 func (p *pipe) stats() LinkStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -192,32 +176,36 @@ func (p *pipe) stats() LinkStats {
 
 func (p *pipe) enqueue(frame []byte) {
 	p.mu.Lock()
-	if p.down || p.closed {
+	defer p.mu.Unlock()
+	if p.down || p.closed || (p.rng != nil && p.rng.Float64() < p.cfg.LossProb) {
 		p.st.Dropped++
-		p.mu.Unlock()
 		return
 	}
-	if p.cfg.LossProb > 0 && p.rng.Float64() < p.cfg.LossProb {
+	now := p.clk.Now()
+	// Frames still waiting for the wire sit at the tail: txStart only
+	// grows along the FIFO.
+	waiting := 0
+	for i := len(p.q) - 1; i >= 0 && p.q[i].txStart.After(now); i-- {
+		waiting++
+	}
+	if waiting >= p.cfg.QueueLen {
 		p.st.Dropped++
-		p.mu.Unlock()
 		return
 	}
-	if !p.started {
-		p.started = true
-		go p.run()
+	if p.busyUntil.Before(now) {
+		p.busyUntil = now
 	}
-	p.mu.Unlock()
-	// Copy: the sender may reuse its buffer.
-	f := append([]byte(nil), frame...)
-	select {
-	case p.in <- f:
-		p.mu.Lock()
-		p.st.Enqueued++
-		p.mu.Unlock()
-	default:
-		p.mu.Lock()
-		p.st.Dropped++
-		p.mu.Unlock()
+	t := timed{frame: append([]byte(nil), frame...), txStart: p.busyUntil} // the sender may reuse its buffer
+	if p.cfg.BandwidthBps > 0 {
+		p.busyUntil = p.busyUntil.Add(time.Duration(int64(len(frame)) * 8 * int64(time.Second) / p.cfg.BandwidthBps))
+	}
+	t.deliverAt = p.busyUntil.Add(p.cfg.Latency)
+	p.q = append(p.q, t)
+	p.st.Enqueued++
+	if !p.running {
+		p.running = true
+		p.wg.Add(1)
+		go p.deliver()
 	}
 }
 
@@ -228,95 +216,50 @@ func (p *pipe) close() {
 		return
 	}
 	p.closed = true
-	started := p.started
+	p.q = nil
 	p.mu.Unlock()
 	close(p.stop)
-	if started {
-		<-p.done
-	}
+	p.wg.Wait()
 }
 
-// run drives both stages. The serializer paces frames at the configured
-// bandwidth; the propagator holds each frame for the latency, preserving
-// FIFO order while allowing serialization and propagation to overlap.
-func (p *pipe) run() {
-	var wg sync.WaitGroup
-	wg.Add(2)
-
-	// Serializer. Pacing uses a busy-until horizon rather than per-frame
-	// sleeps so back-to-back frames serialize at the configured rate even
-	// when individual transmission times are below the scheduler's sleep
-	// granularity (important under scaled clocks).
-	go func() {
-		defer wg.Done()
-		var busyUntil time.Time
-		for {
+// deliver hands frames to the receiver in FIFO order, each no earlier
+// than its deliverAt. It always waits when the head frame is early, so a
+// lone frame pays the full delay; when a wait overshoots (scaled clocks),
+// every frame already due flows out at once, so the average rate stays
+// exact. It exits when the FIFO is empty or the pipe closes.
+func (p *pipe) deliver() {
+	defer p.wg.Done()
+	for {
+		p.mu.Lock()
+		if p.closed || len(p.q) == 0 {
+			p.running = false
+			p.q = nil
+			p.mu.Unlock()
+			return
+		}
+		head := p.q[0]
+		if wait := head.deliverAt.Sub(p.clk.Now()); wait > 0 {
+			p.mu.Unlock()
 			select {
 			case <-p.stop:
 				return
-			case frame := <-p.in:
-				now := p.clk.Now()
-				if busyUntil.Before(now) {
-					busyUntil = now
-				}
-				if p.cfg.BandwidthBps > 0 {
-					tx := time.Duration(int64(len(frame)) * 8 * int64(time.Second) / p.cfg.BandwidthBps)
-					busyUntil = busyUntil.Add(tx)
-					if wait := busyUntil.Sub(now); wait > p.cfg.Coalesce {
-						select {
-						case <-p.stop:
-							return
-						case <-p.clk.After(wait):
-						}
-					}
-				}
-				entry := timed{frame: frame, deliverAt: busyUntil.Add(p.cfg.Latency)}
-				select {
-				case <-p.stop:
-					return
-				case p.prop <- entry:
-				}
+			case <-p.clk.After(wait):
 			}
+			continue
 		}
-	}()
-
-	// Propagator / deliverer. It always sleeps when ahead of schedule so
-	// a lone packet pays the full propagation delay; when a sleep
-	// overshoots (scaled clocks), queued frames whose deliverAt has
-	// already passed flow out immediately, so the average rate stays
-	// exact.
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-p.stop:
-				return
-			case entry := <-p.prop:
-				if wait := entry.deliverAt.Sub(p.clk.Now()); wait > 0 {
-					select {
-					case <-p.stop:
-						return
-					case <-p.clk.After(wait):
-					}
-				}
-				if p.isDown() {
-					p.mu.Lock()
-					p.st.Dropped++
-					p.mu.Unlock()
-					continue
-				}
-				p.mu.Lock()
-				recv := p.recv
-				p.st.Delivered++
-				p.st.Bytes += uint64(len(entry.frame))
-				p.mu.Unlock()
-				if recv != nil {
-					recv(entry.frame)
-				}
-			}
+		p.q[0] = timed{}
+		p.q = p.q[1:]
+		var recv func([]byte)
+		if p.down {
+			p.st.Dropped++
+		} else {
+			recv = p.recv
+			p.st.Delivered++
+			p.st.Bytes += uint64(len(head.frame))
 		}
-	}()
-
-	wg.Wait()
-	close(p.done)
+		p.mu.Unlock()
+		if recv != nil {
+			recv(head.frame)
+		}
+	}
 }

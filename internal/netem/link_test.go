@@ -123,8 +123,8 @@ func TestLinkBandwidthPacing(t *testing.T) {
 
 func TestLinkAverageRateMatchesBandwidth(t *testing.T) {
 	// 100 frames of 1250 bytes at 1 Mbps = 10ms each = 1s total. The
-	// paced average must land near the configured rate despite sleep
-	// coalescing (using a scaled clock so the test stays fast).
+	// paced average must land near the configured rate even though waits
+	// on a scaled clock overshoot (a scaled clock keeps the test fast).
 	clk := clock.NewScaled(20)
 	l := NewLink(clk, LinkConfig{BandwidthBps: 1_000_000, QueueLen: 256})
 	defer l.Close()

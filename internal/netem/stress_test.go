@@ -15,8 +15,8 @@ import (
 // TestLinkFabricScaleStress drives hundreds of concurrent links — the
 // fabric-runtime shape — and verifies frame accounting, teardown, and
 // goroutine hygiene: after Close on every link, the process returns to its
-// pre-test goroutine count (no leaked serializer/propagator goroutines,
-// no stuck receivers).
+// pre-test goroutine count (no leaked delivery goroutines, no stuck
+// receivers).
 func TestLinkFabricScaleStress(t *testing.T) {
 	const (
 		links          = 300
@@ -126,6 +126,36 @@ func TestLinkIdleCostsNoGoroutines(t *testing.T) {
 	l.A().Send([]byte("late"))
 	if st := l.StatsA2B(); st.Dropped != 1 || st.Enqueued != 0 {
 		t.Fatalf("send after close: stats %+v, want 1 drop", st)
+	}
+	waitGoroutines(t, before)
+}
+
+// TestLinkDrainedCostsNoGoroutines: a direction runs its delivery
+// goroutine only while frames are in flight, so once traffic drains the
+// goroutine count is back at its baseline with every link still open.
+func TestLinkDrainedCostsNoGoroutines(t *testing.T) {
+	clk := clock.New()
+	before := runtime.NumGoroutine()
+	var delivered atomic.Int64
+	all := make([]*Link, 100)
+	for i := range all {
+		all[i] = NewLink(clk, LinkConfig{Latency: time.Millisecond, BandwidthBps: Mbps(100)})
+		all[i].A().SetReceiver(func([]byte) { delivered.Add(1) })
+		all[i].B().SetReceiver(func([]byte) { delivered.Add(1) })
+		all[i].A().Send([]byte("a-to-b"))
+		all[i].B().Send([]byte("b-to-a"))
+	}
+	defer func() {
+		for _, l := range all {
+			l.Close()
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for delivered.Load() < int64(2*len(all)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("delivered %d of %d frames", delivered.Load(), 2*len(all))
+		}
+		time.Sleep(time.Millisecond)
 	}
 	waitGoroutines(t, before)
 }

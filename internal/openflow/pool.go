@@ -7,9 +7,9 @@ import (
 	"sync"
 )
 
-// Buffer recycling for the message hot path. Frame buffers circulate
-// through channels (injector sessions, switch and controller write pumps),
-// so a bare sync.Pool of []byte would pay one slice-header allocation per
+// Buffer recycling for the message hot path. Frame buffers cross
+// goroutines (a connection's reader fills one, an event loop's queue
+// carries it, the loop's coalesced write recycles it), so a bare sync.Pool of []byte would pay one slice-header allocation per
 // Put (the &b box escapes). The pool here layers a lock-free channel
 // free-list in front of a sync.Pool: the free-list serves the steady state
 // with zero allocations of any kind, and the sync.Pool absorbs overflow so

@@ -163,8 +163,8 @@ func dialFake(cfg FingerprintConfig, dpid uint64) (*fakeSwitch, error) {
 	_ = conn.SetDeadline(time.Now().Add(cfg.Timeout))
 	// The controller greets first. Read its HELLO before sending ours:
 	// both ends writing greetings simultaneously deadlocks on synchronous
-	// in-memory pipes (the controller writes inline, unlike switchsim's
-	// pumped writer).
+	// in-memory pipes, because the controller writes inline on the
+	// goroutine that reads the connection.
 	for {
 		hdr, msg, err := openflow.ReadMessage(conn)
 		if err != nil {
