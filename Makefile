@@ -21,18 +21,19 @@ test:
 # races a second one finds. The switch simulator and the event loop it and
 # the injector run on go five times: every switch's handlers run on a shard
 # loop, and setConnected, SetLinkDown and data-plane input interleave
-# differently from run to run.
+# differently from run to run. So does netem: every proxied byte crosses a
+# transport ring's lock, and a ring grows under that lock.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 ./internal/grid ./internal/gridsvc
-	$(GO) test -race -count=5 ./internal/evloop ./internal/switchsim
+	$(GO) test -race -count=5 ./internal/evloop ./internal/switchsim ./internal/netem
 
 # Flake gate: the fast concurrent packages twenty times over. Their
 # loops, leases and reconnects interleave differently from run to run, and
 # a test that fails one run in thirty passes a single pass. Tier-1 as a
 # whole joins once it runs in seconds.
 flake:
-	$(GO) test -count=20 ./internal/evloop ./internal/switchsim ./internal/core/inject ./internal/grid ./internal/gridsvc
+	$(GO) test -count=20 ./internal/evloop ./internal/switchsim ./internal/netem ./internal/core/inject ./internal/grid ./internal/gridsvc
 
 # Virtual-time lane: the whole suite again with testing/synctest built in.
 # Files under `//go:build goexperiment.synctest` replay Table II, Fig. 11,

@@ -409,13 +409,13 @@ func (inj *Injector) openSession(conn model.Conn, swConn net.Conn) (*session, er
 const readBufSize = 4096
 
 // serveSession reads both directions into the owning shard's intake queue
-// until either side closes. Two reader goroutines remain per session (a
-// blocking Read must not stall other sessions), but the write side has no
-// goroutines at all: the shard loop flushes outbound frames in batches.
+// until either side closes. The switch side is read on the calling accept
+// goroutine and the controller side on one spawned reader, so a session
+// costs two goroutines (a blocking Read must not stall other sessions);
+// the write side has none at all: the shard loop flushes outbound frames
+// in batches.
 func (inj *Injector) serveSession(sess *session) {
-	var wg sync.WaitGroup
 	read := func(conn net.Conn, dir lang.Direction) {
-		defer wg.Done()
 		src := bufio.NewReaderSize(conn, readBufSize)
 		sh := sess.sh
 		for {
@@ -441,10 +441,13 @@ func (inj *Injector) serveSession(sess *session) {
 			}
 		}
 	}
-	wg.Add(2)
-	go read(sess.switchSide, lang.SwitchToController)
-	go read(sess.ctrlSide, lang.ControllerToSwitch)
-	wg.Wait()
+	ctrlDone := make(chan struct{})
+	go func() {
+		defer close(ctrlDone)
+		read(sess.ctrlSide, lang.ControllerToSwitch)
+	}()
+	read(sess.switchSide, lang.SwitchToController)
+	<-ctrlDone
 	inj.finishSession(sess)
 }
 

@@ -466,6 +466,111 @@ func waitGoroutines(t *testing.T, want int) {
 	}
 }
 
+// switchesSystem is Figure 3's controller c1 with n one-port switches,
+// each on its own control channel.
+func switchesSystem(n int) *model.System {
+	sys := model.Figure3System()
+	sys.Switches = sys.Switches[:0]
+	sys.ControlPlane = sys.ControlPlane[:0]
+	for i := 0; i < n; i++ {
+		id := model.NodeID(fmt.Sprintf("s%d", i+1))
+		sys.Switches = append(sys.Switches, model.Switch{ID: id, DPID: uint64(i + 1), Ports: []uint16{1}})
+		sys.ControlPlane = append(sys.ControlPlane, model.Conn{Controller: "c1", Switch: id})
+	}
+	return sys
+}
+
+// sessionGoroutines counts the goroutines serving proxied sessions: the
+// accept loops and every goroutine a session spawned.
+func sessionGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("(*Injector).acceptLoop")) || bytes.Contains(g, []byte("(*Injector).serveSession")) {
+			count++
+		}
+	}
+	return count
+}
+
+// TestSessionGoroutines pins a proxied session's goroutine cost at two:
+// its connection's accept loop, which reads the switch side, plus one
+// controller-side reader.
+func TestSessionGoroutines(t *testing.T) {
+	const sessions = 32
+	sys := switchesSystem(sessions)
+	tr := netem.NewBufferedMemTransport(0)
+	inj, err := New(Config{System: sys, Attack: trivialAttack(), Transport: tr, Shards: 2, LeanLog: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := tr.Listen("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var ctrlConns []net.Conn
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			ctrlConns = append(ctrlConns, c)
+		}
+	}()
+	if err := inj.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer inj.Stop()
+
+	var swConns []net.Conn
+	for _, conn := range sys.ControlPlane {
+		c, err := tr.Dial(inj.ProxyAddrFor(conn))
+		if err != nil {
+			t.Fatal(err)
+		}
+		swConns = append(swConns, c)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		inj.mu.Lock()
+		open := len(inj.sessions)
+		inj.mu.Unlock()
+		if open == sessions && sessionGoroutines() >= 2*sessions {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d sessions open on %d goroutines", open, sessions, sessionGoroutines())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // let any further spawns land
+	if n := sessionGoroutines(); n != 2*sessions {
+		t.Fatalf("%d sessions run on %d goroutines, want %d", sessions, n, 2*sessions)
+	}
+
+	for _, c := range swConns {
+		_ = c.Close()
+	}
+	inj.Stop()
+	_ = ln.Close()
+	<-accepted
+	for _, c := range ctrlConns {
+		_ = c.Close()
+	}
+}
+
 // TestStopLeavesNothingBehind stops an injector under load: 64 sessions
 // pushing traffic both ways when Stop lands. Afterwards every goroutine the
 // injector started is gone, no loop still holds a pooled buffer (intake and
@@ -474,14 +579,7 @@ func waitGoroutines(t *testing.T, want int) {
 func TestStopLeavesNothingBehind(t *testing.T) {
 	before := runtime.NumGoroutine()
 	const sessions = 64
-	sys := model.Figure3System()
-	sys.Switches = sys.Switches[:0]
-	sys.ControlPlane = sys.ControlPlane[:0]
-	for i := 0; i < sessions; i++ {
-		id := model.NodeID(fmt.Sprintf("s%d", i+1))
-		sys.Switches = append(sys.Switches, model.Switch{ID: id, DPID: uint64(i + 1), Ports: []uint16{1}})
-		sys.ControlPlane = append(sys.ControlPlane, model.Conn{Controller: "c1", Switch: id})
-	}
+	sys := switchesSystem(sessions)
 	tr := netem.NewBufferedMemTransport(0)
 	inj, err := New(Config{
 		System: sys, Attack: trivialAttack(), Transport: tr,

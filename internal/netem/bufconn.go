@@ -7,35 +7,57 @@ import (
 	"time"
 )
 
-// DefaultBufConnSize is the per-direction ring capacity of buffered
+// DefaultBufConnSize is the per-direction ring limit of buffered
 // in-memory connections: large enough that a batched flush of a full
-// injector shard never rendezvous-blocks on a prompt reader.
+// injector shard never rendezvous-blocks on a prompt reader. Rings grow
+// toward it on demand, so the limit costs nothing until bytes back up.
 const DefaultBufConnSize = 64 << 10
 
-// bufRing is one direction of a buffered in-memory connection: a
-// fixed-capacity byte ring guarded by a mutex with reader/writer conds.
-// Unlike net.Pipe there is no rendezvous — Write returns as soon as the
-// bytes are buffered, so a batching writer (the injector's sharded flush)
-// is decoupled from its reader's pace up to the ring capacity.
+// minRingSize is a ring's first allocation; it doubles from there.
+const minRingSize = 512
+
+// bufRing is one direction of a buffered in-memory connection: a byte
+// ring guarded by a mutex with reader/writer conds. Unlike net.Pipe there
+// is no rendezvous — Write returns as soon as the bytes are buffered, so a
+// batching writer (the injector's sharded flush) is decoupled from its
+// reader's pace up to the ring's limit. The buffer is allocated by the
+// first write and doubles when free space is short, up to limit: an idle
+// connection holds no buffer and a busy one only what its bursts needed.
 type bufRing struct {
 	mu     sync.Mutex
 	rd, wr *sync.Cond
-	buf    []byte
+	buf    []byte // grown on demand, never past limit
+	limit  int
 	start  int  // read position
 	n      int  // bytes buffered
 	closed bool // no further writes; reads drain then EOF
 	rdGone bool // reader side closed; writes fail immediately
 }
 
-func newBufRing(size int) *bufRing {
-	r := &bufRing{buf: make([]byte, size)}
+func newBufRing(limit int) *bufRing {
+	r := &bufRing{limit: limit}
 	r.rd = sync.NewCond(&r.mu)
 	r.wr = sync.NewCond(&r.mu)
 	return r
 }
 
-// write appends p, blocking while the ring is full. It returns early with
-// io.ErrClosedPipe once either side closes.
+// grow enlarges a buffer smaller than limit, doubling from minRingSize,
+// until want more bytes fit or it reaches limit. The buffered bytes move
+// to the front.
+func (r *bufRing) grow(want int) {
+	size := max(len(r.buf), minRingSize)
+	for size < r.n+want && size < r.limit {
+		size *= 2
+	}
+	buf := make([]byte, min(size, r.limit))
+	c := copy(buf, r.buf[r.start:min(r.start+r.n, len(r.buf))])
+	copy(buf[c:], r.buf[:r.n-c])
+	r.buf, r.start = buf, 0
+}
+
+// write appends p, growing the ring when free space is short and blocking
+// while it holds limit bytes. It returns early with io.ErrClosedPipe once
+// either side closes.
 func (r *bufRing) write(p []byte) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -43,6 +65,9 @@ func (r *bufRing) write(p []byte) (int, error) {
 	for len(p) > 0 {
 		if r.closed || r.rdGone {
 			return written, io.ErrClosedPipe
+		}
+		if len(r.buf)-r.n < len(p) && len(r.buf) < r.limit {
+			r.grow(len(p))
 		}
 		free := len(r.buf) - r.n
 		if free == 0 {
@@ -100,12 +125,12 @@ func (r *bufRing) closeWrite() {
 	r.wr.Broadcast()
 }
 
-// closeRead abandons the reader side: buffered bytes are discarded and
-// writers fail immediately.
+// closeRead abandons the reader side: the buffer and its bytes are
+// dropped and writers fail immediately.
 func (r *bufRing) closeRead() {
 	r.mu.Lock()
 	r.rdGone = true
-	r.n = 0
+	r.buf, r.start, r.n = nil, 0, 0
 	r.mu.Unlock()
 	r.rd.Broadcast()
 	r.wr.Broadcast()
@@ -120,8 +145,8 @@ type bufConn struct {
 
 var _ net.Conn = (*bufConn)(nil)
 
-// newBufConnPair returns two connected endpoints, each direction buffered
-// with size bytes.
+// newBufConnPair returns two connected endpoints, each direction buffering
+// up to size bytes.
 func newBufConnPair(size int) (net.Conn, net.Conn) {
 	if size <= 0 {
 		size = DefaultBufConnSize

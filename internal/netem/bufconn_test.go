@@ -2,7 +2,11 @@ package netem
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math/rand"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -160,5 +164,125 @@ func TestBufferedMemTransport(t *testing.T) {
 	}
 	if err := <-accepted; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBufConnIdlePairHeap pins that an idle buffered connection reserves
+// no ring: dialed pairs that never carry a byte cost their bookkeeping
+// only, not 2×limit bytes each.
+func TestBufConnIdlePairHeap(t *testing.T) {
+	const pairs = 2000
+	tr := NewBufferedMemTransport(16 << 10)
+	ln, err := tr.Listen("ctl:idle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conns := make([]net.Conn, 0, 2*pairs)
+	accepted := make(chan net.Conn)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				close(accepted)
+				return
+			}
+			accepted <- c
+		}
+	}()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < pairs; i++ {
+		c, err := tr.Dial("ctl:idle")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, c, <-accepted)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perPair := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / pairs
+	if perPair >= 1<<10 {
+		t.Errorf("idle pair holds %d B of heap, want under 1 KiB", perPair)
+	}
+	for _, c := range conns {
+		_ = c.Close()
+	}
+}
+
+// TestBufRingModel drives rings with seeded random write and read sizes
+// and checks them against bytes.Buffer: bytes come out in order, the
+// buffer never exceeds the limit, and (where the limit exceeds the first
+// allocation) rings grow while their buffered bytes wrap. Sizes scale with
+// the current buffer so each fresh ring walks its growth steps.
+func TestBufRingModel(t *testing.T) {
+	for _, limit := range []int{7, 16, 512, 4096, 64 << 10} {
+		t.Run(fmt.Sprint(limit), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(limit)))
+			out := make([]byte, limit)
+			next := byte(0)
+			wrappedGrowths := 0
+			for ring := 0; ring < 50; ring++ {
+				r := newBufRing(limit)
+				var model bytes.Buffer
+				for step := 0; step < 400; step++ {
+					scale := max(len(r.buf), 64)
+					if free := limit - r.n; free > 0 && rng.Intn(2) == 0 {
+						// Never more than the free space under the limit,
+						// so the write does not block.
+						p := make([]byte, 1+rng.Intn(min(free, scale)))
+						for i := range p {
+							p[i] = next
+							next++
+						}
+						wrapped := r.start+r.n > len(r.buf)
+						size := len(r.buf)
+						if n, err := r.write(p); err != nil || n != len(p) {
+							t.Fatalf("ring %d step %d: write %d = %d, %v", ring, step, len(p), n, err)
+						}
+						if wrapped && len(r.buf) > size {
+							wrappedGrowths++
+						}
+						model.Write(p)
+					} else if r.n > 0 {
+						n, err := r.read(out[:1+rng.Intn(min(limit, scale))])
+						if err != nil {
+							t.Fatalf("ring %d step %d: read: %v", ring, step, err)
+						}
+						if want := model.Next(n); !bytes.Equal(out[:n], want) {
+							t.Fatalf("ring %d step %d: read % x, want % x", ring, step, out[:n], want)
+						}
+					}
+					if len(r.buf) > limit || r.n != model.Len() {
+						t.Fatalf("ring %d step %d: len(buf)=%d n=%d model=%d, limit %d",
+							ring, step, len(r.buf), r.n, model.Len(), limit)
+					}
+				}
+			}
+			if limit > minRingSize && wrappedGrowths == 0 {
+				t.Errorf("no ring grew while its buffered bytes wrapped")
+			}
+		})
+	}
+}
+
+// TestBufRingCloseReadReleases pins that abandoning the reader side drops
+// the ring's buffer along with its bytes.
+func TestBufRingCloseReadReleases(t *testing.T) {
+	r := newBufRing(4096)
+	if _, err := r.write(make([]byte, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.buf) == 0 {
+		t.Fatal("write allocated no buffer")
+	}
+	r.closeRead()
+	if r.buf != nil || r.n != 0 {
+		t.Fatalf("after closeRead: len(buf)=%d n=%d, want no buffer", len(r.buf), r.n)
+	}
+	if _, err := r.write([]byte("x")); err == nil {
+		t.Fatal("write after closeRead succeeded")
 	}
 }

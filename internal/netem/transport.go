@@ -63,7 +63,9 @@ func NewMemTransport() *MemTransport {
 }
 
 // NewBufferedMemTransport returns an in-memory network whose connections
-// buffer size bytes per direction (size <= 0 uses DefaultBufConnSize).
+// buffer up to size bytes per direction (size <= 0 uses
+// DefaultBufConnSize). Each direction's ring starts empty and grows on
+// demand, so size is a limit, not an up-front allocation.
 func NewBufferedMemTransport(size int) *MemTransport {
 	return &MemTransport{
 		listeners: make(map[string]*memListener),

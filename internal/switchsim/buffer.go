@@ -14,7 +14,8 @@ type bufferedPacket struct {
 }
 
 // bufferStore holds packets referenced by PACKET_IN buffer ids, evicting
-// the oldest entry when full.
+// the oldest entry when full. The map is not presized: most switches park
+// few packets, and cap bounds it either way.
 type bufferStore struct {
 	mu    sync.Mutex
 	cap   int
@@ -27,7 +28,7 @@ func newBufferStore(capacity int) *bufferStore {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &bufferStore{cap: capacity, m: make(map[uint32]bufferedPacket, capacity)}
+	return &bufferStore{cap: capacity, m: make(map[uint32]bufferedPacket)}
 }
 
 // put parks a frame and returns its buffer id.

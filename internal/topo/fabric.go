@@ -26,9 +26,9 @@ import (
 // An idle netem.Link costs no goroutine and under a kilobyte of heap, but
 // every frame in flight is a clock wait on its direction's delivery
 // goroutine. On jellyfish:5000x4 under LLDP poisoning (8 shards, 2 CPUs,
-// three alternating runs), LinkNetem peaked at 27-34k goroutines and
-// 0.50-0.53 GB RSS and converged in a median 1.8 s from Start; LinkDirect
-// peaked at 25k goroutines and 0.45-0.46 GB and converged in 1.2 s. The
+// three alternating runs), LinkNetem peaked at 25.5-26.4k goroutines and
+// 0.32-0.34 GB RSS and converged in a median 1.3 s from Start; LinkDirect
+// peaked at 20k goroutines and 0.25-0.29 GB and converged in 0.8 s. The
 // gap is per-frame timer wakeups for 50 µs of latency over 20,000 link
 // directions, delivered on goroutines other than the receiving switch's
 // loop. Large sweeps test control-plane behaviour, not data-plane timing,
@@ -53,8 +53,8 @@ const (
 // netem links to direct delivery (see LinkMode for the measured cost).
 const DirectThreshold = 200
 
-// fabricRingSize is the per-direction buffer of the fabric's control
-// channels (see the Transport default in NewFabric).
+// fabricRingSize is the per-direction buffer limit of the fabric's
+// control channels (see the Transport default in NewFabric).
 const fabricRingSize = 16 << 10
 
 // FabricConfig describes one fabric instantiation.
@@ -177,11 +177,11 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 	if cfg.Transport == nil {
 		// Shard loops flush coalesced write batches; the buffered
 		// transport decouples those bursts from reader pace where the
-		// synchronous rendezvous transport would serialize them. The
-		// rings are deliberately small: control frames are tiny, and
-		// every (re)dial allocates and zeroes two rings — at 5,000
-		// switches the 64KiB default turns reconnect churn into a
-		// measurable allocation storm.
+		// synchronous rendezvous transport would serialize them. Rings
+		// grow on demand, so an idle channel holds no buffer; the limit
+		// is below the 64KiB default because control frames are tiny,
+		// and a reader that falls behind should push back on its writer
+		// before 20,000 directions each hold 64KiB.
 		cfg.Transport = netem.NewBufferedMemTransport(fabricRingSize)
 	}
 	if cfg.Profile == 0 {

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -82,6 +83,60 @@ func TestFabricBringupDirect(t *testing.T) {
 		t.Fatalf("Ring: %v", err)
 	}
 	testBringupDiscovery(t, g, LinkDirect)
+}
+
+// TestFabricStopLeavesNothingBehind stops an LLDP-poisoned, injector-on
+// fabric mid-run: afterwards every goroutine the switch host, injector,
+// controller, discovery and links started is gone.
+func TestFabricStopLeavesNothingBehind(t *testing.T) {
+	before := runtime.NumGoroutine()
+	g, err := LeafSpine(2, 4, 1, 3)
+	if err != nil {
+		t.Fatalf("LeafSpine: %v", err)
+	}
+	f, err := NewFabric(FabricConfig{
+		Graph:         g,
+		Profile:       controller.ProfileFloodlight,
+		Attack:        LLDPPoisonAttack(g.System(), nil),
+		Templates:     PhantomTemplates(g),
+		LinkMode:      LinkNetem,
+		ProbeInterval: 20 * time.Millisecond,
+		EchoInterval:  50 * time.Millisecond,
+		Shards:        2,
+	})
+	if err != nil {
+		t.Fatalf("NewFabric: %v", err)
+	}
+	if err := f.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	if _, err := f.WaitConnected(15 * time.Second); err != nil {
+		f.Stop()
+		t.Fatalf("WaitConnected: %v", err)
+	}
+	// Stop lands once poisoned discovery traffic is flowing.
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		if _, phantom, _ := f.Disc.Audit(g); phantom > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			f.Stop()
+			t.Fatal("no phantom adjacency before Stop")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	f.Stop()
+
+	deadline = time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Stop, want at most %d:\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 func TestRunScenarioBaseline(t *testing.T) {
