@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet build test race flake sim cover bench-check grid-bench smoke grid-smoke serve-smoke fabric-smoke synth-smoke fuzz-smoke fuzz-seed clean
+.PHONY: ci vet build test race flake sim cover sleepfloor bench-check grid-bench smoke grid-smoke serve-smoke fabric-smoke synth-smoke fuzz-smoke fuzz-seed clean
 
-ci: vet build test race flake sim cover bench-check grid-bench fuzz-smoke smoke grid-smoke serve-smoke fabric-smoke synth-smoke
+ci: vet build test race flake sim cover sleepfloor bench-check grid-bench fuzz-smoke smoke grid-smoke serve-smoke fabric-smoke synth-smoke
 
 vet:
 	$(GO) vet ./...
@@ -57,6 +57,13 @@ cover:
 		attain/internal/topo=80 \
 		< /tmp/attain-cover.txt
 
+# Sleep ratchet: tests that wait on the wall clock flake under load (make
+# flake) and slow tier-1, so the count of time.Sleep calls in _test.go
+# files may only fall. Lower SLEEP_CEILING when a change removes some.
+SLEEP_CEILING = 68
+sleepfloor:
+	$(GO) run ./docs/ci/sleepfloor -max $(SLEEP_CEILING) .
+
 # The benchmark harness (bench/, what BENCHMARK.json runs) is a client of
 # the product API: a change to inject, topo, switchsim or campaign that it
 # cannot build or pass against fails here, before the gate sees it.
@@ -103,9 +110,11 @@ serve-smoke:
 #     results.jsonl — shard count is an execution knob, never an outcome
 #     change.
 #  3. Large-fabric smoke: a scaled-down jellyfish:1500x4 poisoned
-#     convergence (the 5,000-switch headline's CI proxy) must complete at
-#     -benchtime=1x. It gates completion, not speed: `go run ./bench
-#     -compare` is the regression gate.
+#     convergence (the 5,000-switch headline's CI proxy) and the jellyfish
+#     generator at 5,000 and 20,000 switches must complete at
+#     -benchtime=1x. They gate completion, not speed: `go run ./bench
+#     -compare` is the regression gate, and TestJellyfishAllocBudget
+#     bounds the generator's garbage.
 FABRIC_KEEP = index,name,kind,profile,attack,topology,seed,status,fabric.switches,fabric.links,fabric.hosts,fabric.connected,fabric.discovery_converged,fabric.deviation,fabric.flaps_applied
 fabric-smoke:
 	$(GO) run ./cmd/attain campaign -spec examples/campaign/fabric-smoke.json -out /tmp/attain-fabric-smoke
@@ -118,6 +127,7 @@ fabric-smoke:
 	$(GO) run ./docs/ci/canonjsonl -keep $(FABRIC_KEEP) < /tmp/attain-fabric-smoke-sharded/results.jsonl > /tmp/attain-fabric-proj-b
 	cmp /tmp/attain-fabric-proj-a /tmp/attain-fabric-proj-b
 	$(GO) test ./internal/topo/ -run='^$$' -bench='BenchmarkFabricConverge/jellyfish:1500x4' -benchtime=1x -timeout=5m
+	$(GO) test ./internal/topo/ -run='^$$' -bench='BenchmarkJellyfish' -benchtime=1x -timeout=5m
 
 # Synth smoke: generator determinism (two same-seed runs must agree on
 # the fleet digest, and a 1k-program differential verify must hold), then

@@ -133,7 +133,9 @@ func TestWindowOpensForMicroScenarios(t *testing.T) {
 
 // TestWindowStaysShutForLongScenarios: with bodies of slots × refillTarget
 // or more nothing is ever queued behind a slot — outstanding leases never
-// exceed Slots — and a small matrix is spread over both workers.
+// exceed Slots — and a small matrix is spread over both workers. No body
+// runs until both workers have started one, so w1 parks holding at most
+// its 2 leases and w2 must take the rest however late it connects.
 func TestWindowStaysShutForLongScenarios(t *testing.T) {
 	scenarios := testMatrix(19)[:12]
 	ledger := newLeaseLedger()
@@ -143,10 +145,19 @@ func TestWindowStaysShutForLongScenarios(t *testing.T) {
 	}
 	co := NewCoordinator(CoordinatorConfig{Scenarios: scenarios, LeaseTTL: 5 * time.Second, Journal: ledger})
 	var ran [2]atomic.Int64
+	var starters atomic.Int32
+	bothStarted := make(chan struct{})
 	var wg sync.WaitGroup
 	for i, name := range []string{"w1", "w2"} {
 		exec := func(ctx context.Context, sc campaign.Scenario) (*campaign.Outcome, error) {
-			ran[i].Add(1)
+			if ran[i].Add(1) == 1 && starters.Add(1) == 2 {
+				close(bothStarted)
+			}
+			select {
+			case <-bothStarted:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
 			time.Sleep(50 * time.Millisecond)
 			return gridExec(ctx, sc)
 		}

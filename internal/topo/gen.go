@@ -1,8 +1,10 @@
 package topo
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -254,14 +256,30 @@ func Jellyfish(n, d, hostsPerSwitch int, seed int64) (*Graph, error) {
 		}
 	}
 
-	// Adjacency over switch indexes 0..n-1.
+	// Adjacency over switch indexes 0..n-1. open holds, in ascending
+	// order, the switches still below degree d; setEdge keeps it current,
+	// touching it only when a switch's degree crosses d, so a pairing try
+	// no longer rescans every switch.
 	deg := make([]int, n)
 	adj := make(map[[2]int]bool)
+	var open []int
 	hasEdge := func(a, z int) bool {
 		if a > z {
 			a, z = z, a
 		}
 		return adj[[2]int{a, z}]
+	}
+	bump := func(s, delta int) {
+		deg[s] += delta
+		switch {
+		case delta > 0 && deg[s] == d:
+			if i, found := slices.BinarySearch(open, s); found {
+				open = slices.Delete(open, i, i+1)
+			}
+		case delta < 0 && deg[s] == d-1:
+			i, _ := slices.BinarySearch(open, s)
+			open = slices.Insert(open, i, s)
+		}
 	}
 	setEdge := func(a, z int, on bool) {
 		if a > z {
@@ -269,18 +287,25 @@ func Jellyfish(n, d, hostsPerSwitch int, seed int64) (*Graph, error) {
 		}
 		if on {
 			adj[[2]int{a, z}] = true
-			deg[a]++
-			deg[z]++
+			bump(a, 1)
+			bump(z, 1)
 		} else {
 			delete(adj, [2]int{a, z})
-			deg[a]--
-			deg[z]--
+			bump(a, -1)
+			bump(z, -1)
 		}
 	}
 
 	// Ring base keeps the graph connected regardless of the random wiring.
+	// It only raises degrees, so open is filled once after it rather than
+	// kept during it.
 	for i := 0; i < n; i++ {
 		setEdge(i, (i+1)%n, true)
+	}
+	for i := 0; i < n; i++ {
+		if deg[i] < d {
+			open = append(open, i)
+		}
 	}
 
 	rng := rand.New(rand.NewSource(seed ^ 0x6a65_6c6c_79))
@@ -289,12 +314,6 @@ func Jellyfish(n, d, hostsPerSwitch int, seed int64) (*Graph, error) {
 	// adjacent), an edge swap frees capacity: remove a random existing
 	// edge (u,v) disjoint from the stuck pair and add (x,u), (y,v).
 	for tries := 0; tries < 100*n*d; tries++ {
-		var open []int
-		for i := 0; i < n; i++ {
-			if deg[i] < d {
-				open = append(open, i)
-			}
-		}
 		if len(open) == 0 {
 			break
 		}
@@ -386,15 +405,9 @@ func pickDisjointEdge(rng *rand.Rand, adj map[[2]int]bool, x, y int) (int, int, 
 }
 
 func sortEdges(edges [][2]int) {
-	for i := 1; i < len(edges); i++ {
-		for j := i; j > 0; j-- {
-			a, b := edges[j-1], edges[j]
-			if a[0] < b[0] || (a[0] == b[0] && a[1] <= b[1]) {
-				break
-			}
-			edges[j-1], edges[j] = b, a
-		}
-	}
+	slices.SortFunc(edges, func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
 }
 
 func linearName(kind string, n, hosts int) string {

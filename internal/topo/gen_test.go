@@ -1,9 +1,12 @@
 package topo
 
 import (
+	"crypto/sha256"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -48,6 +51,78 @@ func TestGoldenGraphs(t *testing.T) {
 			}
 			if string(got) != string(want) {
 				t.Fatalf("graph for %q seed %d diverged from golden %s;\nrun 'go test ./internal/topo -run TestGoldenGraphs -update' if intentional.\ngot:\n%s", tc.desc, tc.seed, tc.file, got)
+			}
+		})
+	}
+}
+
+// jellyfishDigestDescs are the jellyfish sizes fabric-sweep.json runs, plus
+// a host-carrying graph and a near-complete one (d = n-1), where the edge
+// swaps do most of the wiring.
+var jellyfishDigestDescs = []string{
+	"jellyfish:500x4", "jellyfish:1000x4", "jellyfish:2000x4", "jellyfish:5000x4",
+	"jellyfish:101x6x2", "jellyfish:64x63",
+}
+
+// TestJellyfishGoldenDigests pins the SHA-256 of every listed jellyfish
+// graph's canonical JSON at seeds 0-15, so a change to the construction
+// that alters any edge, port or address fails here. Regenerate
+// intentionally with -update.
+func TestJellyfishGoldenDigests(t *testing.T) {
+	var got strings.Builder
+	for _, desc := range jellyfishDigestDescs {
+		for seed := int64(0); seed < 16; seed++ {
+			g, err := Parse(desc, seed)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", desc, seed, err)
+			}
+			js, err := g.CanonicalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "%s %d %x\n", desc, seed, sha256.Sum256(js))
+		}
+	}
+	path := filepath.Join("testdata", "jellyfish_digests.txt")
+	if *update {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("jellyfish digests diverged from %s;\nrun 'go test ./internal/topo -run TestJellyfishGoldenDigests -update' if intentional.\ngot:\n%s", path, got.String())
+	}
+}
+
+// TestJellyfishAllocBudget bounds the garbage one 5,000-switch jellyfish
+// construction leaves: the open set is kept up to date rather than
+// rebuilt per pairing try, so the bytes allocated follow the graph's
+// size, not tries × n. Bytes, not time, so load cannot flake it.
+func TestJellyfishAllocBudget(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Jellyfish(5000, 4, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 32<<20 {
+		t.Fatalf("Jellyfish(5000, 4) allocated %d MB, budget 32 MB", got>>20)
+	}
+}
+
+func BenchmarkJellyfish(b *testing.B) {
+	for _, n := range []int{5000, 20000} {
+		b.Run(fmt.Sprintf("%dx4", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Jellyfish(n, 4, 0, int64(i)); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -162,7 +237,8 @@ func TestJellyfishRegularity(t *testing.T) {
 }
 
 // TestValidateCatchesCorruption mutates valid graphs into each invariant
-// violation and checks Validate rejects them.
+// violation and checks Validate rejects them with exactly the expected
+// message, naming every claimant the way it always has.
 func TestValidateCatchesCorruption(t *testing.T) {
 	fresh := func() *Graph {
 		g, err := LeafSpine(2, 3, 1, 9)
@@ -172,21 +248,28 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		return g
 	}
 	mutations := []struct {
-		name    string
-		mutate  func(*Graph)
-		errPart string
+		name   string
+		mutate func(*Graph)
+		want   string
 	}{
-		{"dup dpid", func(g *Graph) { g.Switches[1].DPID = g.Switches[0].DPID }, "share DPID"},
-		{"zero dpid", func(g *Graph) { g.Switches[0].DPID = 0 }, "zero DPID"},
-		{"dup name", func(g *Graph) { g.Switches[1].Name = g.Switches[0].Name }, "duplicate switch name"},
-		{"dangling link", func(g *Graph) { g.Links[0].A.Switch = "ghost" }, "undeclared switch"},
-		{"port clash", func(g *Graph) { g.Links[1].A = g.Links[0].A }, "claimed by both"},
-		{"self loop", func(g *Graph) { g.Links[0].B.Switch = g.Links[0].A.Switch }, "self-loop"},
+		{"dup dpid", func(g *Graph) { g.Switches[1].DPID = g.Switches[0].DPID }, "topo: switches spine1 and spine2 share DPID 0xefb462ee8dfb"},
+		{"zero dpid", func(g *Graph) { g.Switches[0].DPID = 0 }, "topo: switch spine1 has zero DPID"},
+		{"dup name", func(g *Graph) { g.Switches[1].Name = g.Switches[0].Name }, `topo: duplicate switch name "spine1"`},
+		{"dangling link", func(g *Graph) { g.Links[0].A.Switch = "ghost" }, `topo: link 0 (ghost:1-spine1:1) references undeclared switch "ghost"`},
+		{"port clash", func(g *Graph) { g.Links[1].A = g.Links[0].A }, "topo: port 1 on leaf1 claimed by both link 0 (leaf1:1-spine1:1) and link 1 (leaf1:1-spine2:1)"},
+		{"self loop", func(g *Graph) { g.Links[0].B.Switch = g.Links[0].A.Switch }, "topo: link 0 (leaf1:1-leaf1:1) is a self-loop"},
 		{"disconnected", func(g *Graph) {
 			g.Links = g.Links[:0]
 			g.Hosts = g.Hosts[:0]
-		}, "disconnected"},
-		{"dangling host", func(g *Graph) { g.Hosts[0].Switch = "ghost" }, "undeclared switch"},
+		}, "topo: switch graph is disconnected (spine2 unreachable from spine1)"},
+		{"dangling host", func(g *Graph) { g.Hosts[0].Switch = "ghost" }, `topo: host h1 references undeclared switch "ghost"`},
+		{"host on link port", func(g *Graph) { g.Hosts[0].Port = g.Links[0].A.Port }, "topo: port 1 on leaf1 claimed by both link 0 (leaf1:1-spine1:1) and host h1"},
+		{"link on host port", func(g *Graph) { g.Links[0].A.Port = g.Hosts[0].Port }, "topo: port 3 on leaf1 claimed by both link 0 (leaf1:3-spine1:1) and host h1"},
+		{"host on host port", func(g *Graph) {
+			g.Hosts[1].Switch, g.Hosts[1].Port = g.Hosts[0].Switch, g.Hosts[0].Port
+		}, "topo: port 3 on leaf1 claimed by both host h1 and host h2"},
+		{"link port 0", func(g *Graph) { g.Links[2].B.Port = 0 }, "topo: link 2 (leaf2:1-spine1:0) uses reserved port 0 on spine1"},
+		{"host port 0", func(g *Graph) { g.Hosts[2].Port = 0 }, "topo: host h3 uses reserved port 0 on leaf3"},
 	}
 	for _, m := range mutations {
 		g := fresh()
@@ -194,9 +277,13 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		err := g.Validate()
 		if err == nil {
 			t.Errorf("%s: Validate accepted corrupted graph", m.name)
-		} else if !strings.Contains(err.Error(), m.errPart) {
-			t.Errorf("%s: error %q does not mention %q", m.name, err, m.errPart)
+		} else if err.Error() != m.want {
+			t.Errorf("%s: error %q, want %q", m.name, err, m.want)
 		}
+	}
+	const want = "topo: switch spine1 degree 4097 exceeds bound 4096"
+	if _, err := LeafSpine(1, maxDegree+1, 0, 9); err == nil || err.Error() != want {
+		t.Errorf("over-degree spine: error %v, want %q", err, want)
 	}
 }
 

@@ -139,21 +139,34 @@ func (g *Graph) Validate() error {
 		dpids[sw.DPID] = sw.Name
 	}
 
-	ports := make(map[string]map[uint16]string, len(g.Switches))
-	claim := func(sw string, port uint16, by string) error {
-		if _, ok := names[sw]; !ok {
-			return fmt.Errorf("topo: %s references undeclared switch %q", by, sw)
+	// A port claim records its claimant as an int, link i as i and host j
+	// as len(g.Links)+j; the claimant's text is formatted only for an
+	// error message.
+	claimant := func(by int) string {
+		if by < len(g.Links) {
+			l := g.Links[by]
+			return fmt.Sprintf("link %d (%s:%d-%s:%d)", by, l.A.Switch, l.A.Port, l.B.Switch, l.B.Port)
+		}
+		return "host " + g.Hosts[by-len(g.Links)].Name
+	}
+	type swPort struct {
+		sw   int
+		port uint16
+	}
+	ports := make(map[swPort]int, 2*len(g.Links)+len(g.Hosts))
+	claim := func(sw string, port uint16, by int) error {
+		i, ok := names[sw]
+		if !ok {
+			return fmt.Errorf("topo: %s references undeclared switch %q", claimant(by), sw)
 		}
 		if port == 0 {
-			return fmt.Errorf("topo: %s uses reserved port 0 on %s", by, sw)
+			return fmt.Errorf("topo: %s uses reserved port 0 on %s", claimant(by), sw)
 		}
-		if ports[sw] == nil {
-			ports[sw] = make(map[uint16]string)
+		key := swPort{i, port}
+		if prev, dup := ports[key]; dup {
+			return fmt.Errorf("topo: port %d on %s claimed by both %s and %s", port, sw, claimant(prev), claimant(by))
 		}
-		if prev, dup := ports[sw][port]; dup {
-			return fmt.Errorf("topo: port %d on %s claimed by both %s and %s", port, sw, prev, by)
-		}
-		ports[sw][port] = by
+		ports[key] = by
 		return nil
 	}
 
@@ -172,18 +185,21 @@ func (g *Graph) Validate() error {
 	}
 	union := func(a, b int) { parent[find(a)] = find(b) }
 
+	deg := make([]int, len(g.Switches))
 	for i, l := range g.Links {
-		by := fmt.Sprintf("link %d (%s:%d-%s:%d)", i, l.A.Switch, l.A.Port, l.B.Switch, l.B.Port)
 		if l.A.Switch == l.B.Switch {
-			return fmt.Errorf("topo: %s is a self-loop", by)
+			return fmt.Errorf("topo: %s is a self-loop", claimant(i))
 		}
-		if err := claim(l.A.Switch, l.A.Port, by); err != nil {
+		if err := claim(l.A.Switch, l.A.Port, i); err != nil {
 			return err
 		}
-		if err := claim(l.B.Switch, l.B.Port, by); err != nil {
+		if err := claim(l.B.Switch, l.B.Port, i); err != nil {
 			return err
 		}
-		union(names[l.A.Switch], names[l.B.Switch])
+		a, z := names[l.A.Switch], names[l.B.Switch]
+		deg[a]++
+		deg[z]++
+		union(a, z)
 	}
 	hostNames := make(map[string]struct{}, len(g.Hosts))
 	for i, h := range g.Hosts {
@@ -197,7 +213,7 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("topo: name %q used by both a switch and a host", h.Name)
 		}
 		hostNames[h.Name] = struct{}{}
-		if err := claim(h.Switch, h.Port, "host "+h.Name); err != nil {
+		if err := claim(h.Switch, h.Port, len(g.Links)+i); err != nil {
 			return err
 		}
 	}
@@ -209,12 +225,12 @@ func (g *Graph) Validate() error {
 				g.Switches[i].Name, g.Switches[0].Name)
 		}
 	}
-	for name, deg := range g.Degrees() {
-		if len(g.Switches) > 1 && deg == 0 {
-			return fmt.Errorf("topo: switch %s has no links", name)
+	for i, sw := range g.Switches {
+		if len(g.Switches) > 1 && deg[i] == 0 {
+			return fmt.Errorf("topo: switch %s has no links", sw.Name)
 		}
-		if deg > maxDegree {
-			return fmt.Errorf("topo: switch %s degree %d exceeds bound %d", name, deg, maxDegree)
+		if deg[i] > maxDegree {
+			return fmt.Errorf("topo: switch %s degree %d exceeds bound %d", sw.Name, deg[i], maxDegree)
 		}
 	}
 	return nil
