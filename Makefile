@@ -164,6 +164,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/compile/ -run=^$$ -fuzz=FuzzParseAttack$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/compile/ -run=^$$ -fuzz=FuzzParseExpr$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/compile/ -run=^$$ -fuzz=FuzzCompiledCondDifferential$$ -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/grid/ -run=^$$ -fuzz=FuzzFrameRead$$ -fuzztime=$(FUZZTIME)
 
 clean:
 	rm -rf /tmp/attain-smoke /tmp/attain-grid-smoke /tmp/attain-fabric-smoke \

@@ -38,7 +38,7 @@ func runServe(args []string) error {
 	slots := fs.Int("slots", 2, "parallel scenarios per worker (a spec's \"workers\" knob overrides)")
 	lease := fs.Duration("lease", 0, "lease TTL before an unresponsive worker's scenarios requeue (0 = grid default)")
 	steal := fs.Int("steal", 0, "work-steal budget per scenario (0 = grid default, negative disables stealing)")
-	batch := fs.Int("batch", 0, "results per RESULT_BATCH frame (0 = grid default, negative disables batching)")
+	batch := fs.Int("batch", 0, "results per RESULT_BATCH frame (0 = grid default, negative sends one result per frame)")
 	lean := fs.Bool("lean", false, "drop outcomes from coordinator memory once recorded (flat memory on huge campaigns)")
 	debugAddr := debugFlag(fs)
 	if err := fs.Parse(args); err != nil {

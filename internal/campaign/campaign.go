@@ -88,44 +88,47 @@ type Workload struct {
 
 // Scenario is one cell of a campaign matrix: everything needed to run one
 // isolated experiment, including its own RNG seed for stochastic rules.
+// Every field is tagged omitzero so a grid LEASE frame carries only the
+// fields a scenario sets (Workload is zero for every stub and matrix
+// scenario); the store writes Record, not Scenario.
 type Scenario struct {
 	// Index is the scenario's position in the expanded matrix; artifacts
 	// are ordered by it.
-	Index int
+	Index int `json:",omitzero"`
 	// Name uniquely identifies the scenario within the campaign.
-	Name string
+	Name string `json:",omitzero"`
 	// Kind selects the experiment; Attack applies to suppression- and
 	// fabric-kind scenarios, FailMode to interruption-kind ones.
-	Kind     Kind
-	Attack   string
-	Profile  controller.Profile
-	FailMode switchsim.FailMode
+	Kind     Kind               `json:",omitzero"`
+	Attack   string             `json:",omitzero"`
+	Profile  controller.Profile `json:",omitzero"`
+	FailMode switchsim.FailMode `json:",omitzero"`
 	// Topology is the generator descriptor for fabric-kind scenarios
 	// (e.g. "leafspine:4x12x2", "fattree:8").
-	Topology string
+	Topology string `json:",omitzero"`
 	// Shards and Wave carry the matrix's execution knobs to fabric- and
 	// synth-kind executors (0 = one event loop / default wave size).
 	// Execution-only: not part of the scenario name or seed derivation.
-	Shards int
-	Wave   int
+	Shards int `json:",omitzero"`
+	Wave   int `json:",omitzero"`
 	// TimeScale speeds up the scenario's private virtual clock.
-	TimeScale int
+	TimeScale int `json:",omitzero"`
 	// Trial numbers stochastic repeats of the same cell, from 1.
-	Trial int
+	Trial int `json:",omitzero"`
 	// Seed drives the scenario's probabilistic rules (Rule.Prob); derived
 	// from the campaign seed and the scenario name by Matrix.Expand.
-	Seed int64
+	Seed int64 `json:",omitzero"`
 	// SynthIndex and SynthSeed identify the generated program of a
 	// synth-kind scenario: the executor regenerates program SynthIndex
 	// from the campaign-level base seed SynthSeed, so any grid shard
 	// reconstructs the identical program from the spec alone.
-	SynthIndex int
-	SynthSeed  int64
-	Workload   Workload
+	SynthIndex int      `json:",omitzero"`
+	SynthSeed  int64    `json:",omitzero"`
+	Workload   Workload `json:",omitzero"`
 	// Trace enables telemetry for the scenario's testbed; the flushed
 	// JSONL trace lands on the outcome and the Store writes it under
 	// traces/.
-	Trace bool
+	Trace bool `json:",omitzero"`
 }
 
 // Outcome is what a successfully executed scenario produced; exactly one

@@ -30,8 +30,9 @@ type Matrix struct {
 	FabricAttacks []string
 	// FabricShards and FabricWave are execution knobs for fabric- and
 	// synth-kind scenarios (event-loop count and bring-up wave size);
-	// they never enter scenario names or seeds, so toggling them
-	// must not change any audit outcome.
+	// they never enter scenario names or seeds. Toggling FabricShards
+	// keeps audit outcomes only for attacks with one state and no deque
+	// (see Spec.FabricShards, ROADMAP item 20).
 	FabricShards int
 	FabricWave   int
 	// SynthCount is the number of generated attack programs the synth

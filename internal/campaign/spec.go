@@ -46,8 +46,11 @@ type Spec struct {
 	// FabricShards and FabricWave configure execution for fabric- and
 	// synth-kind scenarios: FabricShards is how many event loops the
 	// switches and the injector run on (0 = one loop), FabricWave bounds
-	// concurrent handshakes during bring-up. Execution knobs only — they
-	// never change scenario names, seeds, or audit outcomes.
+	// concurrent handshakes during bring-up. Execution knobs: they never
+	// change scenario names or seeds. Audit outcomes hold across
+	// FabricShards only for attacks with one state and no deque: more
+	// loops can lose a multi-state or deque-using attack's σ and Δ updates
+	// (synth programs are such attacks; ROADMAP item 20).
 	FabricShards int `json:"fabric_shards,omitempty"`
 	FabricWave   int `json:"fabric_wave,omitempty"`
 	// SynthCount and SynthSeed parameterize the synth kind: SynthCount

@@ -80,6 +80,10 @@ type Config struct {
 	// single-threaded executor and its global total order, which the paper
 	// testbed uses. More loops order events totally per loop only (the
 	// §VIII-C trade-off) and are for session counts one core cannot carry.
+	// Loops share σ and Δ without making a rule's actions atomic, so an
+	// attack that reads and writes them from several loops (a GOTO, a
+	// SHIFT/PREPEND counter) can lose updates; ROADMAP item 20 measured
+	// this at 4 loops. An attack with one state and no deque is unaffected.
 	Shards int
 	// Detection, when non-nil, observes every frame the injector emits
 	// onto the control channel and is scored against ground truth (see

@@ -123,7 +123,6 @@ type leaseHold struct {
 
 // scenState is the coordinator's bookkeeping for one scenario.
 type scenState struct {
-	sc    campaign.Scenario
 	state int
 	// holders maps worker name → claim while leased.
 	holders map[string]*leaseHold
@@ -287,9 +286,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	}
 	cfg.Telemetry.Counter("grid.scenarios_total").Add(uint64(len(cfg.Scenarios)))
 	c.scen = make([]scenState, len(cfg.Scenarios))
-	for i, sc := range cfg.Scenarios {
-		c.scen[i].sc = sc
-	}
 	c.nPending = len(c.scen)
 	if r := cfg.Restore; r != nil {
 		for idx, status := range r.Done {
@@ -301,7 +297,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 				continue
 			}
 			c.setState(idx, stateDone)
-			c.results[idx] = campaign.ScenarioResult{Scenario: st.sc, Status: status}
+			c.results[idx] = campaign.ScenarioResult{Scenario: c.cfg.Scenarios[idx], Status: status}
 			c.remaining--
 			if status == campaign.StatusFailed {
 				c.failed++
@@ -421,7 +417,7 @@ loop:
 	for i := range c.scen {
 		if st := &c.scen[i]; st.state != stateDone {
 			c.results[i] = campaign.ScenarioResult{
-				Scenario: st.sc,
+				Scenario: c.cfg.Scenarios[i],
 				Status:   campaign.StatusSkipped,
 				Err:      fmt.Sprintf("not started: %v", context.Cause(ctx)),
 			}
@@ -590,10 +586,6 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 				busy = f.Heartbeat.Busy
 			}
 			c.refreshLeases(w, busy)
-		case FrameResult:
-			if f.Result != nil {
-				c.applyResults(w, []campaign.ScenarioResult{f.Result.Result})
-			}
 		case FrameResultBatch:
 			if f.ResultBatch == nil {
 				continue
@@ -654,8 +646,8 @@ func (c *Coordinator) refreshLeases(w *remoteWorker, busy []int) {
 	}
 }
 
-// applyResults lands the results of one RESULT or RESULT_BATCH frame under
-// a single lock acquisition, in frame order: the first result for a
+// applyResults lands the results of one RESULT_BATCH frame under a single
+// lock acquisition, in frame order: the first result for a
 // scenario wins (a slow worker racing its own expired lease — or a steal
 // racing the original holder — produces duplicates, which are counted and
 // dropped), the store streams it in index order, and one scheduler pass
@@ -670,6 +662,7 @@ func (c *Coordinator) applyResults(w *remoteWorker, results []campaign.ScenarioR
 		if idx < 0 || idx >= len(c.scen) {
 			continue
 		}
+		res.Scenario = c.cfg.Scenarios[idx] // the wire names it by index only
 		st := &c.scen[idx]
 		delete(w.leases, idx)
 		if st.state == stateDone {
@@ -905,7 +898,7 @@ func (c *Coordinator) sweep(now time.Time) {
 			if c.cfg.Journal != nil {
 				c.cfg.Journal.Granted(idx, w.name, st.grants, false)
 			}
-			leases[i] = append(leases[i], &Frame{Type: FrameLease, Lease: &Lease{Scenario: st.sc, Grant: st.grants}})
+			leases[i] = append(leases[i], &Frame{Type: FrameLease, Lease: &Lease{Scenario: c.cfg.Scenarios[idx], Grant: st.grants}})
 			room[i]--
 			totalRoom--
 			granted++
@@ -932,7 +925,7 @@ func (c *Coordinator) sweep(now time.Time) {
 				if c.cfg.Journal != nil {
 					c.cfg.Journal.Granted(idx, w.name, st.grants, true)
 				}
-				leases[i] = append(leases[i], &Frame{Type: FrameLease, Lease: &Lease{Scenario: st.sc, Grant: st.grants, Steal: true}})
+				leases[i] = append(leases[i], &Frame{Type: FrameLease, Lease: &Lease{Scenario: c.cfg.Scenarios[idx], Grant: st.grants, Steal: true}})
 			}
 		}
 	}
@@ -1024,7 +1017,7 @@ func (c *Coordinator) requeueLocked(idx int, worker, reason string) {
 	if st.grants > c.cfg.Requeues {
 		c.setState(idx, stateDone)
 		res := campaign.ScenarioResult{
-			Scenario: st.sc,
+			Scenario: c.cfg.Scenarios[idx],
 			Status:   campaign.StatusFailed,
 			Err:      fmt.Sprintf("%s (requeue budget %d exhausted)", reason, c.cfg.Requeues),
 			Attempts: st.grants,
@@ -1045,7 +1038,7 @@ func (c *Coordinator) requeueLocked(idx int, worker, reason string) {
 		if c.cfg.Telemetry.Enabled() {
 			c.cfg.Telemetry.Emit(telemetry.Event{
 				Layer: telemetry.LayerGrid, Kind: telemetry.KindResult,
-				Node: worker, Detail: fmt.Sprintf("%s status=failed: %s", st.sc.Name, reason)})
+				Node: worker, Detail: fmt.Sprintf("%s status=failed: %s", c.cfg.Scenarios[idx].Name, reason)})
 		}
 		return
 	}
@@ -1057,7 +1050,7 @@ func (c *Coordinator) requeueLocked(idx int, worker, reason string) {
 		shift = 16
 	}
 	backoff := c.cfg.Backoff << shift
-	st.notBefore = time.Now().Add(backoff + campaign.RetryJitter(st.sc.Seed, st.grants, backoff))
+	st.notBefore = time.Now().Add(backoff + campaign.RetryJitter(c.cfg.Scenarios[idx].Seed, st.grants, backoff))
 	if c.cfg.Journal != nil {
 		c.cfg.Journal.Requeued(idx, worker, st.grants, false)
 	}
@@ -1065,7 +1058,7 @@ func (c *Coordinator) requeueLocked(idx int, worker, reason string) {
 	if c.cfg.Telemetry.Enabled() {
 		c.cfg.Telemetry.Emit(telemetry.Event{
 			Layer: telemetry.LayerGrid, Kind: telemetry.KindRequeue,
-			Node: worker, Detail: fmt.Sprintf("%s grant=%d: %s", st.sc.Name, st.grants, reason)})
+			Node: worker, Detail: fmt.Sprintf("%s grant=%d: %s", c.cfg.Scenarios[idx].Name, st.grants, reason)})
 	}
 }
 

@@ -41,12 +41,21 @@ func (rc *rawClient) sendResult(lease *Lease) {
 	if err != nil {
 		rc.t.Fatal(err)
 	}
-	res := campaign.ScenarioResult{
+	rc.sendResults(campaign.ScenarioResult{
 		Scenario: lease.Scenario, Outcome: out,
 		Status: campaign.StatusOK, Attempts: 1,
+	})
+}
+
+// sendResults returns results in one RESULT_BATCH frame.
+func (rc *rawClient) sendResults(results ...campaign.ScenarioResult) {
+	rc.t.Helper()
+	b, err := EncodeResultBatch(results)
+	if err != nil {
+		rc.t.Fatal(err)
 	}
-	if err := rc.fc.write(&Frame{Type: FrameResult, Result: &Result{Result: res}}); err != nil {
-		rc.t.Fatalf("send result: %v", err)
+	if err := rc.fc.write(&Frame{Type: FrameResultBatch, ResultBatch: b}); err != nil {
+		rc.t.Fatalf("send results: %v", err)
 	}
 }
 
@@ -72,8 +81,9 @@ func waitCounter(t *testing.T, tel *telemetry.Telemetry, name string, min uint64
 	}
 }
 
-// TestResultBatchRoundTrip pins the gzip batch codec: encode/decode is
-// lossless, and a tampered count or torn payload is rejected.
+// TestResultBatchRoundTrip pins the gzip batch codec: encode/decode keeps
+// every field but the scenario, which comes back as its index alone, and a
+// tampered count or torn payload is rejected.
 func TestResultBatchRoundTrip(t *testing.T) {
 	scenarios := testMatrix(21)[:5]
 	results := make([]campaign.ScenarioResult, 0, len(scenarios))
@@ -97,6 +107,9 @@ func TestResultBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i := range results {
+		results[i].Scenario = campaign.Scenario{Index: results[i].Scenario.Index}
+	}
 	want, _ := json.Marshal(results)
 	got, _ := json.Marshal(decoded)
 	if !bytes.Equal(want, got) {
@@ -117,7 +130,7 @@ func TestResultBatchRoundTrip(t *testing.T) {
 
 // TestGridBatchedResultsMatchSingleProcess re-runs the byte-identity
 // acceptance check with result batching on: gzip RESULT_BATCH frames must
-// land the exact same artifacts as per-scenario RESULT frames and as a
+// land the exact same artifacts as one-result frames and as a
 // single-process run.
 func TestGridBatchedResultsMatchSingleProcess(t *testing.T) {
 	scenarios := testMatrix(42)
@@ -317,7 +330,7 @@ func TestGridStealDrainsStalledWorker(t *testing.T) {
 }
 
 // TestGridStealLateResultDeduped races a steal against the original
-// holder's late RESULT: the first result wins, the loser is counted as a
+// holder's late result: the first result wins, the loser is counted as a
 // duplicate, and the store keeps exactly one record per scenario.
 func TestGridStealLateResultDeduped(t *testing.T) {
 	scenarios := testMatrix(31)[:3]
@@ -696,5 +709,31 @@ func TestWorkerFlushWithoutConnRestashes(t *testing.T) {
 	if len(w.stash) != 2 || w.stash[0].Scenario.Index != 3 || w.stash[1].Scenario.Index != 4 {
 		t.Fatalf("stash indexes = [%d %d], want [3 4] (completion order)",
 			w.stash[0].Scenario.Index, w.stash[1].Scenario.Index)
+	}
+}
+
+// TestWorkerUnbatchedFlushSendsOneResultPerFrame: with batching off
+// (BatchResults 0) a flush that finds several results sends each in a
+// RESULT_BATCH of its own, in completion order.
+func TestWorkerUnbatchedFlushSendsOneResultPerFrame(t *testing.T) {
+	w := NewWorker(WorkerConfig{})
+	workerSide, coordSide := pipeConns(t)
+	w.fc = workerSide
+	for idx := 5; idx < 8; idx++ {
+		w.deliver(campaign.ScenarioResult{Scenario: campaign.Scenario{Index: idx}, Status: campaign.StatusOK})
+	}
+	go w.flush()
+	for want := 5; want < 8; want++ {
+		f, err := coordSide.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != FrameResultBatch || f.ResultBatch.Count != 1 {
+			t.Fatalf("frame %+v, want a RESULT_BATCH of one", f)
+		}
+		res, err := f.ResultBatch.Decode()
+		if err != nil || res[0].Scenario.Index != want {
+			t.Fatalf("decoded %+v (%v), want index %d", res, err, want)
+		}
 	}
 }

@@ -19,14 +19,13 @@ import (
 type FrameType string
 
 // The protocol's frame types. HELLO/WELCOME handshake a connection,
-// LEASE/RESULT/RESULT_BATCH move work, HEARTBEAT keeps leases alive, DONE
-// tells a worker the campaign is complete, BYE closes either side cleanly.
+// LEASE/RESULT_BATCH move work, HEARTBEAT keeps leases alive, DONE tells a
+// worker the campaign is complete, BYE closes either side cleanly.
 const (
 	FrameHello   FrameType = "hello"
 	FrameWelcome FrameType = "welcome"
 	FrameLease   FrameType = "lease"
-	FrameResult  FrameType = "result"
-	// FrameResultBatch carries several completed scenarios in one frame,
+	// FrameResultBatch carries one or more completed scenarios,
 	// gzip-compressed, so large campaigns stream results without paying
 	// one JSON frame per scenario.
 	FrameResultBatch FrameType = "result_batch"
@@ -43,7 +42,6 @@ type Frame struct {
 	Hello       *Hello       `json:"hello,omitempty"`
 	Welcome     *Welcome     `json:"welcome,omitempty"`
 	Lease       *Lease       `json:"lease,omitempty"`
-	Result      *Result      `json:"result,omitempty"`
 	ResultBatch *ResultBatch `json:"result_batch,omitempty"`
 	Heartbeat   *Heartbeat   `json:"heartbeat,omitempty"`
 	Bye         *Bye         `json:"bye,omitempty"`
@@ -96,14 +94,8 @@ type Lease struct {
 	Steal bool `json:"steal,omitempty"`
 }
 
-// Result returns one completed scenario, outcome and optional telemetry
-// trace included.
-type Result struct {
-	Result campaign.ScenarioResult `json:"result"`
-}
-
-// ResultBatch returns several completed scenarios in one frame. Records is
-// the gzip-compressed JSONL encoding (one campaign.ScenarioResult per
+// ResultBatch returns one or more completed scenarios in one frame. Records
+// is the gzip-compressed JSONL encoding (one campaign.ScenarioResult per
 // line): scenario outcomes compress well (repeated keys, sparse traces),
 // so batching keeps both the frame count and the bytes on the wire flat as
 // campaigns grow into the 10⁵-scenario range.
@@ -122,15 +114,18 @@ var (
 	gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
 )
 
-// EncodeResultBatch packs results into a compressed batch payload.
+// EncodeResultBatch packs results into a compressed batch payload. Of each
+// result's Scenario only the Index is sent: the coordinator holds the rest,
+// and the other fields' omitzero tags keep them off the wire.
 func EncodeResultBatch(results []campaign.ScenarioResult) (*ResultBatch, error) {
 	var buf bytes.Buffer
 	zw := gzipWriters.Get().(*gzip.Writer)
 	defer gzipWriters.Put(zw)
 	zw.Reset(&buf)
 	enc := json.NewEncoder(zw)
-	for i := range results {
-		if err := enc.Encode(&results[i]); err != nil {
+	for _, res := range results {
+		res.Scenario = campaign.Scenario{Index: res.Scenario.Index}
+		if err := enc.Encode(&res); err != nil {
 			return nil, fmt.Errorf("grid: encode result batch: %w", err)
 		}
 	}
@@ -141,6 +136,9 @@ func EncodeResultBatch(results []campaign.ScenarioResult) (*ResultBatch, error) 
 }
 
 // Decode unpacks the batch, validating the record count against Count.
+// Each result's Scenario holds only its Index, as sent: the receiver looks
+// the scenario up in its own campaign, after checking the index is in
+// range.
 func (b *ResultBatch) Decode() ([]campaign.ScenarioResult, error) {
 	zr := gzipReaders.Get().(*gzip.Reader)
 	defer gzipReaders.Put(zr)
@@ -197,7 +195,7 @@ type frameConn struct {
 
 const (
 	// readBuffer holds a whole burst of LEASE frames (a full window is
-	// about 128 frames of ~400 bytes), so the reader can tell a burst is
+	// about 128 frames of ~200 bytes), so the reader can tell a burst is
 	// still arriving from buffered() without another read(2).
 	readBuffer = 64 << 10
 	// keepBuffer is the largest frame buffer kept for reuse; a rare giant

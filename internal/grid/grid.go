@@ -1,7 +1,7 @@
 // Package grid distributes a campaign across worker processes. A
 // coordinator expands the campaign matrix once, then shards the scenarios
 // over TCP to any number of workers using a small length-prefixed JSON
-// frame protocol (HELLO/WELCOME/LEASE/RESULT/HEARTBEAT/DONE/BYE).
+// frame protocol (HELLO/WELCOME/LEASE/RESULT_BATCH/HEARTBEAT/DONE/BYE).
 //
 // Work is handed out under leases: a scenario granted to a worker carries
 // a deadline that the worker's periodic heartbeats refresh. A worker
@@ -18,13 +18,14 @@
 // requeue budget is exhausted, at which point the scenario is recorded as
 // failed. The campaign always completes with one record per scenario.
 //
-// Completed results stream back over the same connection — one RESULT
-// frame per scenario, or gzip-compressed RESULT_BATCH frames when the
-// worker batches (WorkerConfig.BatchResults; a flush is due on a full
-// batch or as soon as a slot has nothing queued to move on to) — and the
-// coordinator applies a frame's results in one scheduler pass. They land
-// in the existing index-ordered campaign.Store, so a grid run's results.jsonl
-// (canonicalized) and CSV aggregates are byte-identical to a
+// Completed results stream back over the same connection in
+// gzip-compressed RESULT_BATCH frames (WorkerConfig.BatchResults sets the
+// batch size, one result per frame when batching is off; a flush is due on
+// a full batch or as soon as a slot has nothing queued to move on to), and
+// the coordinator applies a frame's results in one scheduler pass. A result names its scenario by
+// index; the coordinator fills the scenario in from its own matrix. They
+// land in the existing index-ordered campaign.Store, so a grid run's
+// results.jsonl (canonicalized) and CSV aggregates are byte-identical to a
 // single-process `attain campaign` run with the same seed: scenario seeds
 // are derived from names by the matrix, the store orders records by index
 // regardless of which worker finished when, and workers execute with the
@@ -67,10 +68,13 @@ const (
 	// RESULT_BATCH frames plus the Resume/Steal handshake and lease
 	// extensions. Version 3 changed no frame but what Hello.Slots bounds:
 	// the scenarios a worker executes at once, no longer the leases it is
-	// sent. A v2 worker would start every lease of a v3 window at once.
-	ProtoVersion = 3
-	// MaxFrame bounds a single frame body (a RESULT carries the scenario
-	// outcome plus its optional telemetry trace).
+	// sent. Version 4 sends each party only what it lacks: a result names
+	// its scenario by index, a lease omits the scenario's zero-valued
+	// fields, and RESULT_BATCH is the only result frame. A v3 coordinator
+	// would record v4 results with nameless scenarios.
+	ProtoVersion = 4
+	// MaxFrame bounds a single frame body (a RESULT_BATCH carries scenario
+	// outcomes plus their optional telemetry traces).
 	MaxFrame = 32 << 20
 
 	// DefaultLeaseTTL is how long a granted scenario may go unclaimed by

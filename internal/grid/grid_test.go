@@ -519,3 +519,74 @@ func TestGridTracePropagation(t *testing.T) {
 		t.Error("results.jsonl record lacks trace_file")
 	}
 }
+
+// TestGridRefusesOtherProtocolVersion: a HELLO from an older protocol gets
+// a BYE naming the mismatch, not a WELCOME. A v3 worker sends whole
+// scenarios back and a v3 coordinator expects them, so neither side may
+// talk to the other.
+func TestGridRefusesOtherProtocolVersion(t *testing.T) {
+	addr, _ := startCoordinator(t, context.Background(), CoordinatorConfig{
+		Scenarios: testMatrix(9)[:1], LeaseTTL: time.Second,
+	})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := newFrameConn(conn, nil)
+	defer fc.close()
+	if err := fc.write(&Frame{Type: FrameHello, Hello: &Hello{Proto: ProtoVersion - 1, Worker: "old", Slots: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fc.read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Type != FrameBye || f.Bye == nil || !strings.Contains(f.Bye.Reason, "protocol mismatch") {
+		t.Fatalf("HELLO with proto %d answered %+v, want a BYE saying protocol mismatch", ProtoVersion-1, f)
+	}
+}
+
+// TestGridIgnoresOutOfRangeResults: result indices come off the wire. A
+// batch naming -1 and len(scenarios) must land nothing, and the campaign
+// still completes with exactly one record per scenario.
+func TestGridIgnoresOutOfRangeResults(t *testing.T) {
+	scenarios := testMatrix(11)[:4]
+	dir := t.TempDir()
+	store, err := campaign.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.New(telemetry.Options{})
+	addr, wait := startCoordinator(t, context.Background(), CoordinatorConfig{
+		Scenarios: scenarios, Store: store, LeaseTTL: 10 * time.Second, Telemetry: tel,
+	})
+	rc := dialRaw(t, addr, "hostile", len(scenarios))
+	defer rc.fc.close()
+	leases := rc.awaitLeases(len(scenarios))
+	rc.sendResults(
+		campaign.ScenarioResult{Scenario: campaign.Scenario{Index: -1}, Status: campaign.StatusOK, Attempts: 1},
+		campaign.ScenarioResult{Scenario: campaign.Scenario{Index: len(scenarios)}, Status: campaign.StatusOK, Attempts: 1},
+	)
+	for _, l := range leases {
+		rc.sendResult(l)
+	}
+	report, err := wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Results) != len(scenarios) {
+		t.Fatalf("report has %d results, want %d", len(report.Results), len(scenarios))
+	}
+	for i, res := range report.Results {
+		if res.Status != campaign.StatusOK || res.Scenario != scenarios[i] {
+			t.Errorf("result %d = %s for %+v, want ok for %s", i, res.Status, res.Scenario, scenarios[i].Name)
+		}
+	}
+	if got := tel.Snapshot()["grid.scenarios_completed"]; got != uint64(len(scenarios)) {
+		t.Errorf("scenarios_completed = %d, want %d", got, len(scenarios))
+	}
+	canon := canonicalResults(t, dir)
+	if got := bytes.Count(canon, []byte("\n")); got != len(scenarios) {
+		t.Errorf("results.jsonl has %d records, want %d", got, len(scenarios))
+	}
+}

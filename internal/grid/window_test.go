@@ -435,11 +435,9 @@ func openWindow(t *testing.T, rc *rawClient, pending int) []*Lease {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rc.fc.write(&Frame{Type: FrameResult, Result: &Result{Result: campaign.ScenarioResult{
+	rc.sendResults(campaign.ScenarioResult{
 		Scenario: first.Scenario, Outcome: out, Status: campaign.StatusOK, Attempts: 1, Duration: time.Microsecond,
-	}}}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	return rc.awaitLeases(pending)
 }
 

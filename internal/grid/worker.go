@@ -25,13 +25,13 @@ type WorkerConfig struct {
 	// grant more than Slots when scenarios are short (see refillTarget),
 	// and the surplus waits in the worker's queue.
 	Slots int
-	// BatchResults > 1 batches completed scenarios into gzip-compressed
-	// RESULT_BATCH frames instead of one RESULT frame per scenario. A
-	// flush is due when that many results are batched, when a slot
-	// finishes a scenario and finds no lease queued behind it (the
-	// coordinator refills on results, so a result must not wait while its
-	// slot idles), and at each heartbeat; it sends whatever is batched by
-	// the time it runs. 0 or 1 keeps the per-scenario frames.
+	// BatchResults is how many completed scenarios the worker batches into
+	// one gzip-compressed RESULT_BATCH frame. A flush is due when that many
+	// results are batched, when a slot finishes a scenario and finds no
+	// lease queued behind it (the coordinator refills on results, so a
+	// result must not wait while its slot idles), and at each heartbeat;
+	// it sends whatever is batched by the time it runs, in one frame. 0 or
+	// 1 sends each result alone, in a batch of one.
 	BatchResults int
 	// Reconnect is RunLoop's base backoff between reconnect attempts
 	// (default 100 ms, doubling per failure up to 2 s).
@@ -92,6 +92,9 @@ type Worker struct {
 func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
+	}
+	if cfg.BatchResults < 1 {
+		cfg.BatchResults = 1
 	}
 	w := &Worker{
 		cfg:           cfg,
@@ -387,50 +390,36 @@ func (w *Worker) run(ctx context.Context, addr string, resume bool) (done bool, 
 	}
 }
 
-// deliver hands one finished scenario to the coordinator: batched when
-// batching is on (the flusher sends it), as a single RESULT frame
-// otherwise. Results that cannot be sent (no connection, write failure)
-// stash for the next flush — after a reconnect, nothing is lost.
+// deliver batches one finished scenario for the flusher. A flush is due
+// on a full batch — or when this slot has nothing queued to move on to:
+// the coordinator counts the lease until its result lands and refills only
+// then, so holding the result back would idle the slot until a sibling
+// finishes or the next heartbeat.
 func (w *Worker) deliver(res campaign.ScenarioResult) {
 	w.mu.Lock()
 	delete(w.busy, res.Scenario.Index)
-	if w.cfg.BatchResults > 1 {
-		w.batch = append(w.batch, res)
-		// A flush is due on a full batch — or when this slot has nothing
-		// queued to move on to: the coordinator counts the lease until its
-		// result lands and refills only then, so holding the result back
-		// would idle the slot until a sibling finishes or the next
-		// heartbeat.
-		full := len(w.batch) >= w.cfg.BatchResults
-		idle := len(w.queue) == 0
-		w.mu.Unlock()
-		if full || idle {
-			select {
-			case w.flushDue <- struct{}{}:
-				if full {
-					w.ctrFlushFull.Inc()
-				} else {
-					w.ctrFlushIdle.Inc()
-				}
-			default: // already requested
-			}
-		}
-		return
-	}
-	fc := w.fc
+	w.batch = append(w.batch, res)
+	full := len(w.batch) >= w.cfg.BatchResults
+	idle := len(w.queue) == 0
 	w.mu.Unlock()
-	if fc == nil || fc.write(&Frame{Type: FrameResult, Result: &Result{Result: res}}) != nil {
-		w.mu.Lock()
-		w.stash = append(w.stash, res)
-		w.mu.Unlock()
-		return
+	if full || idle {
+		select {
+		case w.flushDue <- struct{}{}:
+			if full {
+				w.ctrFlushFull.Inc()
+			} else {
+				w.ctrFlushIdle.Inc()
+			}
+		default: // already requested
+		}
 	}
-	w.ctrResults.Inc()
-	w.emitResult(res)
 }
 
 // flush drains every undelivered result — the reconnect stash plus the
-// current batch — over the live connection, re-stashing whatever fails.
+// current batch — over the live connection in one write: one frame, or
+// one frame per result when BatchResults is 1. Results that cannot be
+// sent (no connection, write failure) stash for the next flush: after a
+// reconnect, nothing is lost.
 func (w *Worker) flush() {
 	w.mu.Lock()
 	fc := w.fc
@@ -446,28 +435,28 @@ func (w *Worker) flush() {
 		w.restash(pending)
 		return
 	}
-	if w.cfg.BatchResults > 1 {
-		b, err := EncodeResultBatch(pending)
-		if err == nil {
-			err = fc.write(&Frame{Type: FrameResultBatch, ResultBatch: b})
-		}
+	per := len(pending)
+	if w.cfg.BatchResults == 1 {
+		per = 1
+	}
+	frames := make([]*Frame, 0, len(pending)/per)
+	for rest := pending; len(rest) > 0; {
+		n := min(len(rest), per)
+		b, err := EncodeResultBatch(rest[:n])
 		if err != nil {
 			w.restash(pending)
 			return
 		}
-		w.ctrBatches.Inc()
-		w.ctrResults.Add(uint64(len(pending)))
-		for i := range pending {
-			w.emitResult(pending[i])
-		}
+		frames = append(frames, &Frame{Type: FrameResultBatch, ResultBatch: b})
+		rest = rest[n:]
+	}
+	if fc.write(frames...) != nil {
+		w.restash(pending)
 		return
 	}
+	w.ctrBatches.Add(uint64(len(frames)))
+	w.ctrResults.Add(uint64(len(pending)))
 	for i := range pending {
-		if fc.write(&Frame{Type: FrameResult, Result: &Result{Result: pending[i]}}) != nil {
-			w.restash(pending[i:])
-			return
-		}
-		w.ctrResults.Inc()
 		w.emitResult(pending[i])
 	}
 }

@@ -49,7 +49,7 @@ type Options struct {
 	StealBudget int
 	StealAfter  time.Duration
 	// BatchResults defaults to grid.DefaultBatchResults; < 0 disables
-	// batching (one RESULT frame per scenario).
+	// batching (one result per RESULT_BATCH frame).
 	BatchResults int
 	// DropOutcomes keeps coordinator memory flat on huge campaigns: each
 	// outcome is released once its record is on disk, so the final CSV

@@ -101,8 +101,11 @@ type FabricConfig struct {
 	// Shards is the number of event loops the switches are hosted on
 	// (switchsim.Host), and the injector core is given the same count:
 	// 5,000 switches need Shards loops plus one reader per control channel.
-	// Zero or less means one loop. Shard count is an execution knob only:
-	// it never changes what a run observes.
+	// Zero or less means one loop. Shard count is an execution knob: it
+	// does not change what a run observes as long as the attack has one
+	// state and no deque (the fabric attacks). Otherwise more loops can
+	// lose the attack's σ and Δ updates (see inject.Config.Shards, ROADMAP
+	// item 20).
 	Shards int
 	// WaveSize bounds how many control-channel handshakes are in flight
 	// at once during bring-up (default 256).
