@@ -348,135 +348,6 @@ func BenchmarkProxyThroughput(b *testing.B) {
 	p.pump(b)
 }
 
-// benchDualConn wires fake switches and controllers over both Figure 3
-// connections, proxied either by one centralized injector or by two
-// instances sharing state — the §VIII-C distributed-injection ablation.
-type benchDualConn struct {
-	sw1, sw2 net.Conn
-	got      chan struct{}
-	stops    []func()
-}
-
-func newBenchDualConn(b *testing.B, distributed bool) *benchDualConn {
-	b.Helper()
-	sys := model.Figure3System()
-	tr := netem.NewMemTransport()
-	am := model.NewAttackerModel()
-	for _, conn := range sys.ControlPlane {
-		am.Grant(conn, model.AllCapabilities)
-	}
-	attack := lang.NewAttack("trivial", "s0")
-	attack.AddState(&lang.State{Name: "s0"})
-
-	ln, err := tr.Listen("c1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	got := make(chan struct{}, 8192)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				for {
-					if _, err := openflow.ReadRaw(conn); err != nil {
-						return
-					}
-					got <- struct{}{}
-				}
-			}()
-		}
-	}()
-
-	conn1 := model.Conn{Controller: "c1", Switch: "s1"}
-	conn2 := model.Conn{Controller: "c1", Switch: "s2"}
-	rig := &benchDualConn{got: got}
-	rig.stops = append(rig.stops, func() { _ = ln.Close() })
-
-	mk := func(conns []model.Conn, state inject.StateStore) *inject.Injector {
-		inj, err := inject.New(inject.Config{
-			System: sys, Attacker: am, Attack: attack,
-			Transport: tr, Clock: clock.New(),
-			Connections: conns, State: state,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := inj.Start(); err != nil {
-			b.Fatal(err)
-		}
-		rig.stops = append(rig.stops, inj.Stop)
-		return inj
-	}
-
-	var injFor1, injFor2 *inject.Injector
-	if distributed {
-		shared := inject.NewSharedState(attack.Start)
-		injFor1 = mk([]model.Conn{conn1}, shared)
-		injFor2 = mk([]model.Conn{conn2}, shared)
-	} else {
-		single := mk(nil, nil)
-		injFor1, injFor2 = single, single
-	}
-	var errDial error
-	rig.sw1, errDial = tr.Dial(injFor1.ProxyAddrFor(conn1))
-	if errDial != nil {
-		b.Fatal(errDial)
-	}
-	rig.sw2, errDial = tr.Dial(injFor2.ProxyAddrFor(conn2))
-	if errDial != nil {
-		b.Fatal(errDial)
-	}
-	rig.stops = append(rig.stops, func() { _ = rig.sw1.Close(); _ = rig.sw2.Close() })
-	return rig
-}
-
-func (r *benchDualConn) stop() {
-	for i := len(r.stops) - 1; i >= 0; i-- {
-		r.stops[i]()
-	}
-}
-
-// pump sends b.N messages split across both connections concurrently.
-func (r *benchDualConn) pump(b *testing.B) {
-	raw, err := openflow.Marshal(1, &openflow.EchoRequest{Data: []byte("bench")})
-	if err != nil {
-		b.Fatal(err)
-	}
-	half := b.N / 2
-	rest := b.N - half
-	b.ResetTimer()
-	send := func(conn net.Conn, n int) {
-		for i := 0; i < n; i++ {
-			if _, err := conn.Write(raw); err != nil {
-				return
-			}
-		}
-	}
-	go send(r.sw1, half)
-	go send(r.sw2, rest)
-	for i := 0; i < b.N; i++ {
-		<-r.got
-	}
-}
-
-// BenchmarkInjectorCentralized and BenchmarkInjectorDistributed compare
-// the paper's centralized total-ordering design against the §VIII-C
-// distributed variant (two instances, shared σ/Δ, per-instance ordering).
-func BenchmarkInjectorCentralized(b *testing.B) {
-	rig := newBenchDualConn(b, false)
-	defer rig.stop()
-	rig.pump(b)
-}
-
-func BenchmarkInjectorDistributed(b *testing.B) {
-	rig := newBenchDualConn(b, true)
-	defer rig.stop()
-	rig.pump(b)
-}
-
 // counterAttack is the §VIII-B O(1) deque counter: one state counting
 // messages with PREPEND(n, SHIFT(n)+1).
 func counterAttack() *lang.Attack {

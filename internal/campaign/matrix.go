@@ -30,9 +30,8 @@ type Matrix struct {
 	FabricAttacks []string
 	// FabricShards and FabricWave are execution knobs for fabric- and
 	// synth-kind scenarios (event-loop count and bring-up wave size);
-	// they never enter scenario names or seeds. Toggling FabricShards
-	// keeps audit outcomes only for attacks with one state and no deque
-	// (see Spec.FabricShards, ROADMAP item 20).
+	// they never enter scenario names or seeds, nor change what the
+	// attack does (see Spec.FabricShards).
 	FabricShards int
 	FabricWave   int
 	// SynthCount is the number of generated attack programs the synth

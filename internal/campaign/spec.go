@@ -47,10 +47,11 @@ type Spec struct {
 	// synth-kind scenarios: FabricShards is how many event loops the
 	// switches and the injector run on (0 = one loop), FabricWave bounds
 	// concurrent handshakes during bring-up. Execution knobs: they never
-	// change scenario names or seeds. Audit outcomes hold across
-	// FabricShards only for attacks with one state and no deque: more
-	// loops can lose a multi-state or deque-using attack's σ and Δ updates
-	// (synth programs are such attacks; ROADMAP item 20).
+	// change scenario names or seeds, nor what the attack does. An attack
+	// that shares state (a GOTO or a deque, as synth programs do) runs every
+	// session it watches on one injector loop in Algorithm 1's total order,
+	// so those sessions share one core whatever FabricShards says; other
+	// attacks spread over all loops (see inject.Config.Shards).
 	FabricShards int `json:"fabric_shards,omitempty"`
 	FabricWave   int `json:"fabric_wave,omitempty"`
 	// SynthCount and SynthSeed parameterize the synth kind: SynthCount

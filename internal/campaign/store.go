@@ -452,68 +452,3 @@ func CanonicalJSONL(data []byte) ([]byte, error) {
 	}
 	return out.Bytes(), nil
 }
-
-// shardInvariantTopFields are the Record fields that must be identical
-// across fabric shard counts: the scenario coordinates, the verdict, and
-// the synth program identity. Wall-clock and attempt-count fields are
-// execution detail and excluded.
-var shardInvariantTopFields = map[string]bool{
-	"index": true, "name": true, "kind": true, "profile": true,
-	"attack": true, "fail_mode": true, "topology": true, "trial": true,
-	"seed": true, "status": true, "synth": true, "fabric": true,
-}
-
-// shardInvariantFabricFields are the FabricResult fields that must not
-// depend on the shard count: topology shape, convergence booleans, and
-// the deviation verdict. Latencies, goroutine peaks, wave counts, and
-// load-dependent observation counters (phantom/injected frame tallies at
-// audit time) legitimately vary with execution strategy; the deviation
-// boolean is the determinism contract they roll up into.
-var shardInvariantFabricFields = map[string]bool{
-	"topology": true, "profile": true, "attack": true,
-	"switches": true, "links": true, "hosts": true,
-	"connected": true, "discovery_converged": true,
-	"deviation": true, "flaps_applied": true,
-}
-
-// ShardInvariantJSONL projects a results.jsonl stream onto the fields
-// that the sharded event-loop refactor guarantees identical across
-// FabricShards settings, re-marshalled with sorted keys so equal-seed
-// campaigns at different shard counts compare byte-for-byte.
-func ShardInvariantJSONL(data []byte) ([]byte, error) {
-	var out bytes.Buffer
-	scan := bufio.NewScanner(bytes.NewReader(data))
-	scan.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for scan.Scan() {
-		line := bytes.TrimSpace(scan.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var m map[string]any
-		if err := json.Unmarshal(line, &m); err != nil {
-			return nil, fmt.Errorf("campaign: shard projection: %w", err)
-		}
-		for k := range m {
-			if !shardInvariantTopFields[k] {
-				delete(m, k)
-			}
-		}
-		if fab, ok := m["fabric"].(map[string]any); ok {
-			for k := range fab {
-				if !shardInvariantFabricFields[k] {
-					delete(fab, k)
-				}
-			}
-		}
-		b, err := json.Marshal(m)
-		if err != nil {
-			return nil, err
-		}
-		out.Write(b)
-		out.WriteByte('\n')
-	}
-	if err := scan.Err(); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
-}

@@ -87,3 +87,44 @@ func (p *program) bindWatches(counters map[model.Conn]*connCounters) {
 		}
 	}
 }
+
+// pinnedConns returns the connections shard 0 must own (see shardFor):
+// when any rule shares state, every connection a rule watches. A GOTO
+// shares σ; deque actions and expressions share Δ. Otherwise nil.
+func (p *program) pinnedConns() map[model.Conn]bool {
+	shares := false
+	for _, cr := range p.rules {
+		shares = shares || touchesDeque(cr.rule.Cond)
+		for _, act := range cr.rule.Actions {
+			switch x := act.(type) {
+			case lang.GotoState, lang.StoreMessage, lang.SendStored, lang.DequePush, lang.DequeDiscard:
+				shares = true
+			case lang.ModifyField:
+				shares = shares || touchesDeque(x.Value)
+			case lang.ModifyMetadata:
+				shares = shares || touchesDeque(x.Value)
+			}
+		}
+	}
+	if !shares {
+		return nil
+	}
+	pinned := make(map[model.Conn]bool)
+	for _, cr := range p.rules {
+		for _, c := range cr.rule.Conns {
+			pinned[c] = true
+		}
+	}
+	return pinned
+}
+
+// touchesDeque reports whether evaluating e reads or writes Δ.
+func touchesDeque(e lang.Expr) bool {
+	return lang.Any(e, func(x lang.Expr) bool {
+		switch x.(type) {
+		case lang.DequeRead, lang.DequeTake:
+			return true
+		}
+		return false
+	})
+}

@@ -17,9 +17,7 @@ import (
 // and actuates the resulting actions through the message modifier.
 type executor struct {
 	inj *Injector
-	// storage is Δ of the injector's StateStore (σ is read and set through
-	// inj.state) — private by default, shareable across injector instances
-	// for distributed injection (§VIII-C).
+	// storage is the injector's Δ (σ is read and set through inj.state).
 	storage *lang.Storage
 	// rng drives stochastic rules (Rule.Prob); seeded deterministically
 	// so runs are reproducible. Only the loop goroutine touches it.
@@ -52,7 +50,7 @@ type executor struct {
 func newExecutor(inj *Injector, seed int64, sh *shard) *executor {
 	return &executor{
 		inj:        inj,
-		storage:    inj.state.Storage(),
+		storage:    inj.storage,
 		rng:        rand.New(rand.NewSource(seed)),
 		sh:         sh,
 		typeCounts: make(map[string]uint64, 32),
@@ -71,9 +69,9 @@ func (ex *executor) block(d time.Duration) {
 	ex.batchNow = ex.inj.clk.Now()
 }
 
-func (ex *executor) currentState() string { return ex.inj.state.CurrentState() }
+func (ex *executor) currentState() string { return *ex.inj.state.Load() }
 
-func (ex *executor) setState(next string) { ex.inj.state.SetState(next) }
+func (ex *executor) setState(next string) { ex.inj.state.Store(&next) }
 
 // outMsg is one entry of the outgoing message list of Algorithm 1.
 type outMsg struct {

@@ -42,14 +42,6 @@ type Config struct {
 	// (Rule.Prob), keeping stochastic attacks reproducible. 0 uses a
 	// fixed default.
 	StochasticSeed int64
-	// Connections restricts this instance to proxying a subset of the
-	// system's control-plane connections. Nil proxies all of them. Used
-	// for distributed injection (§VIII-C): several instances with
-	// disjoint subsets share a SharedState via State.
-	Connections []model.Conn
-	// State shares σ and Δ among injector instances; nil uses a private
-	// store (the centralized design).
-	State StateStore
 	// Telemetry, when non-nil, receives per-channel counters and verdict/
 	// rule/state trace events from the executor. Nil disables collection at
 	// no cost beyond a pointer check (see package telemetry).
@@ -73,17 +65,19 @@ type Config struct {
 	// passthrough proxying performs zero heap allocations per message.
 	LeanLog bool
 	// Shards is the number of event loops. Sessions are assigned to a loop
-	// at accept time (seeded by StochasticSeed, so assignment is
-	// reproducible); each loop owns its sessions' conns and executor state
+	// at accept time; each loop owns its sessions' conns and executor state
 	// shared-nothing and drains frames in batches with one coalesced write
 	// per touched session. Zero or less means one loop: Algorithm 1's
 	// single-threaded executor and its global total order, which the paper
-	// testbed uses. More loops order events totally per loop only (the
-	// §VIII-C trade-off) and are for session counts one core cannot carry.
-	// Loops share σ and Δ without making a rule's actions atomic, so an
-	// attack that reads and writes them from several loops (a GOTO, a
-	// SHIFT/PREPEND counter) can lose updates; ROADMAP item 20 measured
-	// this at 4 loops. An attack with one state and no deque is unaffected.
+	// testbed uses. More loops are for session counts one core cannot
+	// carry, and never change what an attack does. If any rule shares
+	// state (a GOTO, or a deque action or expression), every session a
+	// rule watches runs on loop 0, in one total order with its stochastic
+	// draws seeded by StochasticSeed: Algorithm 1 exactly, at the cost of
+	// those sessions sharing one core. Every other session is placed by a
+	// hash seeded by StochasticSeed, so placement is reproducible, and is
+	// ordered only within its loop; no rule acts on it, so the attack
+	// language cannot observe that order.
 	Shards int
 	// Detection, when non-nil, observes every frame the injector emits
 	// onto the control channel and is scored against ground truth (see
@@ -104,9 +98,13 @@ type Injector struct {
 	clk  clock.Clock
 	log  *Log
 	tele *telemetry.Telemetry
-	// state holds σ and Δ, shared by every shard's executor so state
-	// transitions and deque storage stay consistent across loops.
-	state StateStore
+	// state is σ and storage is Δ. Only shard 0 changes them (see
+	// shardFor), but every loop reads σ per message, and Storage is read
+	// from outside: σ is atomic and Δ locks internally.
+	state   atomic.Pointer[string]
+	storage *lang.Storage
+	// pinned holds the connections shard 0 owns (see pinnedConns).
+	pinned map[model.Conn]bool
 	// counters maps each proxied connection to its pre-resolved telemetry
 	// counters; read-only after New.
 	counters map[model.Conn]*connCounters
@@ -252,17 +250,17 @@ func New(cfg Config) (*Injector, error) {
 		clk:      cfg.Clock,
 		log:      NewLog(cfg.LogLimit, cfg.LogWriter),
 		tele:     cfg.Telemetry,
+		storage:  lang.NewStorage(),
 		sessions: make(map[model.Conn]*session),
 		syscmd:   make(map[model.NodeID]func(string) error),
 		stop:     make(chan struct{}),
 	}
-	inj.counters = buildConnCounters(inj.tele, inj.proxiedConns())
+	inj.counters = buildConnCounters(inj.tele, cfg.System.ControlPlane)
 	inj.prog = compileAttack(cfg.Attack)
 	inj.prog.bindWatches(inj.counters)
-	inj.state = cfg.State
-	if inj.state == nil {
-		inj.state = newLocalState(cfg.Attack.Start)
-	}
+	start := cfg.Attack.Start
+	inj.state.Store(&start)
+	inj.pinned = inj.prog.pinnedConns()
 	inj.loops = evloop.NewGroup(inj.tele.Counter("injector.shards.imbalance"))
 	inj.shards = make([]*shard, cfg.Shards)
 	for i := range inj.shards {
@@ -275,10 +273,10 @@ func New(cfg Config) (*Injector, error) {
 func (inj *Injector) Log() *Log { return inj.log }
 
 // CurrentState returns the current attack state name σ.
-func (inj *Injector) CurrentState() string { return inj.state.CurrentState() }
+func (inj *Injector) CurrentState() string { return *inj.state.Load() }
 
 // Storage exposes the attack's deque storage Δ (for monitors and tests).
-func (inj *Injector) Storage() *lang.Storage { return inj.state.Storage() }
+func (inj *Injector) Storage() *lang.Storage { return inj.storage }
 
 // ProxyAddrFor returns the address switches should dial for conn.
 func (inj *Injector) ProxyAddrFor(conn model.Conn) string {
@@ -300,7 +298,7 @@ func (inj *Injector) Start() error {
 	if inj.started {
 		return errors.New("inject: already started")
 	}
-	for _, conn := range inj.proxiedConns() {
+	for _, conn := range inj.cfg.System.ControlPlane {
 		addr := inj.cfg.ProxyAddr(conn)
 		ln, err := inj.cfg.Transport.Listen(addr)
 		if err != nil {
@@ -497,14 +495,6 @@ func (inj *Injector) nextMsgID() uint64 { return inj.msgID.Add(1) }
 
 // nextInjectXid issues xids for injected messages.
 func (inj *Injector) nextInjectXid() uint32 { return inj.injectXid.Add(1) }
-
-// proxiedConns returns the connections this instance proxies.
-func (inj *Injector) proxiedConns() []model.Conn {
-	if len(inj.cfg.Connections) > 0 {
-		return inj.cfg.Connections
-	}
-	return inj.cfg.System.ControlPlane
-}
 
 // Barrier enqueues a no-op event on every shard and waits until each loop
 // has drained and flushed everything enqueued before it — a test

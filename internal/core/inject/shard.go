@@ -22,8 +22,8 @@ const eventWrite EventKind = 100
 // goroutine then owns those sessions' outbound conns and all mutable
 // executor state (rule evaluation scratch, RNG, pending write lists), so
 // steady-state processing is shared-nothing: the only cross-goroutine
-// touch points are the intake queue and the σ/Δ StateStore, which is
-// shared by design (attack state is global, §VIII-C).
+// touch points are the intake queue and σ/Δ, which only shard 0 writes
+// (see shardFor).
 //
 // The loop mechanism — swap draining, chunking, batch telemetry, the
 // imbalance probe, and one coalesced write per touched sink — is
@@ -110,12 +110,18 @@ func shardSeed(seed int64, i int) int64 {
 	return int64(z)
 }
 
-// shardFor maps a control-plane connection to its owning shard. The
-// assignment hashes the connection identity seeded by StochasticSeed, so it
-// is deterministic for a given config — rerunning an experiment lands every
-// session on the same shard — while different seeds explore different
-// placements.
+// shardFor maps a control-plane connection to its owning shard. When the
+// attack shares σ or Δ, a connection some rule watches goes to shard 0, so
+// every message that can read or write them is handled by one executor in
+// one total order: Algorithm 1's, stochastic draws included, since shard 0
+// keeps the configured seed. Every other connection hashes its identity
+// seeded by StochasticSeed, so placement is deterministic for a given
+// config — rerunning an experiment lands every session on the same shard —
+// while different seeds explore different placements.
 func (inj *Injector) shardFor(conn model.Conn) *shard {
+	if inj.pinned[conn] {
+		return inj.shards[0]
+	}
 	h := uint64(inj.cfg.StochasticSeed) ^ 0x9E3779B97F4A7C15
 	for _, s := range [2]string{string(conn.Controller), string(conn.Switch)} {
 		for i := 0; i < len(s); i++ {

@@ -698,35 +698,35 @@ func (e DequeTake) String() string {
 // HasSideEffects reports whether evaluating e mutates storage (contains a
 // DequeTake). Conditionals must be side-effect free.
 func HasSideEffects(e Expr) bool {
-	switch x := e.(type) {
-	case DequeTake:
+	return Any(e, func(x Expr) bool {
+		_, ok := x.(DequeTake)
+		return ok
+	})
+}
+
+// Any reports whether pred holds for e or for any expression nested in it.
+func Any(e Expr, pred func(Expr) bool) bool {
+	if pred(e) {
 		return true
+	}
+	var subs []Expr
+	switch x := e.(type) {
 	case And:
-		for _, sub := range x.Exprs {
-			if HasSideEffects(sub) {
-				return true
-			}
-		}
+		subs = x.Exprs
 	case Or:
-		for _, sub := range x.Exprs {
-			if HasSideEffects(sub) {
-				return true
-			}
-		}
+		subs = x.Exprs
 	case Not:
-		return HasSideEffects(x.Expr)
+		subs = []Expr{x.Expr}
 	case Cmp:
-		return HasSideEffects(x.L) || HasSideEffects(x.R)
+		subs = []Expr{x.L, x.R}
 	case Arith:
-		return HasSideEffects(x.L) || HasSideEffects(x.R)
+		subs = []Expr{x.L, x.R}
 	case In:
-		if HasSideEffects(x.L) {
+		subs = append([]Expr{x.L}, x.Set...)
+	}
+	for _, sub := range subs {
+		if Any(sub, pred) {
 			return true
-		}
-		for _, sub := range x.Set {
-			if HasSideEffects(sub) {
-				return true
-			}
 		}
 	}
 	return false

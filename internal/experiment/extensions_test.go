@@ -132,10 +132,12 @@ func TestDelayAttackInflatesFlowSetup(t *testing.T) {
 func TestRealTCPControlPlane(t *testing.T) {
 	clk := clock.NewScaled(25)
 	tb, err := NewTestbed(TestbedConfig{
-		Profile:     controller.ProfileFloodlight,
-		Clock:       clk,
-		Transport:   netem.TCPTransport{},
-		TCPAddrBase: 36653,
+		Profile:   controller.ProfileFloodlight,
+		Clock:     clk,
+		Transport: netem.TCPTransport{},
+		// Below Linux's default ephemeral range (32768-60999), so no
+		// outgoing or TIME-WAIT socket already holds one of these ports.
+		TCPAddrBase: 26653,
 	})
 	if err != nil {
 		t.Fatal(err)

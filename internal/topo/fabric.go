@@ -102,10 +102,10 @@ type FabricConfig struct {
 	// (switchsim.Host), and the injector core is given the same count:
 	// 5,000 switches need Shards loops plus one reader per control channel.
 	// Zero or less means one loop. Shard count is an execution knob: it
-	// does not change what a run observes as long as the attack has one
-	// state and no deque (the fabric attacks). Otherwise more loops can
-	// lose the attack's σ and Δ updates (see inject.Config.Shards, ROADMAP
-	// item 20).
+	// does not change what the attack does. An attack that shares state
+	// (a GOTO or a deque) runs every channel it watches on injector loop
+	// 0; the fabric attacks share none and spread over every loop (see
+	// inject.Config.Shards).
 	Shards int
 	// WaveSize bounds how many control-channel handshakes are in flight
 	// at once during bring-up (default 256).

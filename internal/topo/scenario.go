@@ -77,7 +77,10 @@ type ScenarioConfig struct {
 	// campaign wants that recorded, not retried.
 	TolerateDisruption bool
 	// Shards is the number of event loops the switches (and the injector,
-	// if any) run on; 0 means one.
+	// if any) run on; 0 means one. It never changes what the attack does:
+	// an attack that shares state (a GOTO or a deque, as generated
+	// programs may) runs every channel it watches on injector loop 0 (see
+	// FabricConfig.Shards and inject.Config.Shards).
 	Shards int
 	// WaveSize bounds concurrent handshakes during bring-up
 	// (default 256).
