@@ -102,9 +102,9 @@ func BenchmarkInjectorPassthrough(b *testing.B) {
 	})
 }
 
-// BenchmarkInjectorMaterialized measures the slow path: a rule rewrites
-// every message, paying the full decode + re-encode that passthrough
-// avoids.
+// BenchmarkInjectorMaterialized measures the rewrite path: a rule rewrites
+// every message, paying the copy into a pooled buffer that passthrough
+// avoids, and patching the field in place.
 func BenchmarkInjectorMaterialized(b *testing.B) {
 	attack := oneRuleAttack(isType("FLOW_MOD"), model.AllCapabilities,
 		lang.ModifyField{Field: lang.PropFMPriority, Value: lang.Lit{Value: int64(9)}})

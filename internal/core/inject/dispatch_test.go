@@ -314,6 +314,40 @@ func TestPassthroughZeroAllocProxyAttack(t *testing.T) {
 	}
 }
 
+// TestRewriteAllocatesNoMoreThanDrop pins MODIFYFIELD's in-place rewrite on
+// the proxy_attack state: a FLOW_MOD that fires the idle_timeout rewrite
+// allocates no more per message than a PACKET_IN that fires the DROP. The
+// rewrite patches two bytes of a pooled copy; it decodes nothing.
+func TestRewriteAllocatesNoMoreThanDrop(t *testing.T) {
+	inj, sh, sess := shardedLoopback(t, proxyAttackState(), nil)
+	fm, err := openflow.Marshal(7, &openflow.FlowMod{
+		Match:       openflow.ExactFrom(openflow.FieldView{DLType: 0x0800, NWSrc: netaddr.IPv4{10, 0, 3, 4}, NWDst: netaddr.IPv4{10, 1, 0, 1}}),
+		IdleTimeout: 30, BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
+		Actions: []openflow.Action{openflow.ActionOutput{Port: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi, err := openflow.Marshal(8, &openflow.PacketIn{BufferID: 100, InPort: 60, Data: make([]byte, 64)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(dir lang.Direction, wire []byte) float64 {
+		step := func() { loop(t, sh, sess, dir, append(openflow.GetBuffer(), wire...)) }
+		step()
+		return testing.AllocsPerRun(1000, step)
+	}
+	rewrite := allocs(lang.ControllerToSwitch, fm)
+	drop := allocs(lang.SwitchToController, pi)
+	t.Logf("allocs/op: rewrite %v, drop %v", rewrite, drop)
+	if rewrite > drop && !raceEnabled {
+		t.Fatalf("rewritten FLOW_MOD: %v allocs/op, dropped PACKET_IN: %v", rewrite, drop)
+	}
+	if st := inj.Log().Stats(sess.conn); st.Modified == 0 || st.Modified != st.Dropped {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
 // TestRuleEventsSkipFormattingPastLogLimit pins that rule events past
 // LogLimit (with no writer) are not built, while the counters and the
 // retained events stay exact.

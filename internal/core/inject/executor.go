@@ -90,8 +90,8 @@ type outMsg struct {
 type disposition struct {
 	dropped  bool
 	modified bool
-	// materialized marks that an action decoded the message bytes (e.g.
-	// MODIFYFIELD's rewrite), independent of the view's lazy Materialize.
+	// materialized marks that an action rewrote the message bytes
+	// (MODIFYFIELD), independent of the view's lazy Materialize.
 	materialized bool
 }
 
@@ -581,77 +581,32 @@ func (ex *executor) logErr(conn model.Conn, format string, args ...interface{}) 
 	})
 }
 
-// rewritePayload decodes a framed message, modifies one property, and
-// re-encodes it with the original xid.
+// rewritePayload returns a pooled copy of the framed message raw with one
+// payload property set in place through its openflow.Fields row; nothing
+// is decoded or re-encoded, and the xid and every other byte are kept.
 func rewritePayload(raw []byte, field string, val lang.Value) ([]byte, error) {
-	hdr, msg, err := openflow.Unmarshal(raw)
+	fd, ok := openflow.FieldNamed(field)
+	if !ok || !fd.Settable {
+		return nil, fmt.Errorf("%s cannot be set", field)
+	}
+	var n int64
+	switch x := val.(type) {
+	case int64:
+		n = x
+	case int:
+		n = int64(x)
+	default:
+		return nil, fmt.Errorf("%s needs an integer", field)
+	}
+	buf := append(openflow.GetBuffer(), raw...)
+	f, err := openflow.NewFrame(buf)
 	if err != nil {
+		openflow.PutBuffer(buf)
 		return nil, fmt.Errorf("payload not decodable: %w", err)
 	}
-	toInt := func() (int64, bool) {
-		switch n := val.(type) {
-		case int64:
-			return n, true
-		case int:
-			return int64(n), true
-		default:
-			return 0, false
-		}
+	if !f.SetField(fd, uint64(n)) {
+		openflow.PutBuffer(buf)
+		return nil, fmt.Errorf("%s message does not carry %s", f.Type(), field)
 	}
-	switch m := msg.(type) {
-	case *openflow.FlowMod:
-		n, ok := toInt()
-		switch field {
-		case lang.PropFMIdle:
-			if !ok {
-				return nil, fmt.Errorf("idle_timeout needs an integer")
-			}
-			m.IdleTimeout = uint16(n)
-		case lang.PropFMHard:
-			if !ok {
-				return nil, fmt.Errorf("hard_timeout needs an integer")
-			}
-			m.HardTimeout = uint16(n)
-		case lang.PropFMPriority:
-			if !ok {
-				return nil, fmt.Errorf("priority needs an integer")
-			}
-			m.Priority = uint16(n)
-		case lang.PropFMBufferID:
-			if !ok {
-				return nil, fmt.Errorf("buffer_id needs an integer")
-			}
-			m.BufferID = uint32(n)
-		case lang.PropMatchInPort:
-			if !ok {
-				return nil, fmt.Errorf("in_port needs an integer")
-			}
-			m.Match.InPort = uint16(n)
-			m.Match.Wildcards &^= openflow.WildcardInPort
-		default:
-			return nil, fmt.Errorf("unsupported FLOW_MOD field %q", field)
-		}
-	case *openflow.PacketOut:
-		n, ok := toInt()
-		if field != lang.PropPOInPort || !ok {
-			return nil, fmt.Errorf("unsupported PACKET_OUT field %q", field)
-		}
-		m.InPort = uint16(n)
-	case *openflow.PacketIn:
-		n, ok := toInt()
-		if field != lang.PropPIInPort || !ok {
-			return nil, fmt.Errorf("unsupported PACKET_IN field %q", field)
-		}
-		m.InPort = uint16(n)
-	default:
-		return nil, fmt.Errorf("message type %s does not support field modification", msg.Type())
-	}
-	// Re-encode into a pooled buffer, preserving the original xid: only
-	// rewritten messages pay the decode+encode cost.
-	enc, err := openflow.AppendMessage(openflow.GetBuffer(), hdr.Xid, msg)
-	if err != nil {
-		openflow.PutBuffer(enc)
-		return nil, err
-	}
-	return enc, nil
+	return f.Bytes(), nil
 }

@@ -21,10 +21,11 @@ type connCounters struct {
 	delayed    *telemetry.Counter
 	fuzzed     *telemetry.Counter
 	ruleFires  *telemetry.Counter
-	// passthrough counts messages forwarded without ever decoding the
-	// payload; materialized counts messages whose bytes were decoded
-	// (property access through Materialize or a rewriting action). The two
-	// partition seen, making the zero-copy fast path observable.
+	// passthrough counts messages forwarded byte for byte without ever
+	// decoding the payload; materialized counts messages whose bytes were
+	// decoded (property access through Materialize) or rewritten (an
+	// in-place MODIFYFIELD). The two partition seen, making the zero-copy
+	// fast path observable.
 	passthrough  *telemetry.Counter
 	materialized *telemetry.Counter
 	// label is connLabel(conn), resolved once so per-message trace events

@@ -161,9 +161,14 @@ func (a *Attack) Validate(sys *model.System, attacker *model.AttackerModel) erro
 				}
 			}
 			for _, act := range rule.Actions {
-				if g, ok := act.(GotoState); ok {
-					if _, exists := a.States[g.State]; !exists {
-						return fmt.Errorf("lang: %s/%s transitions to unknown state %q", name, rule.Name, g.State)
+				switch x := act.(type) {
+				case GotoState:
+					if _, exists := a.States[x.State]; !exists {
+						return fmt.Errorf("lang: %s/%s transitions to unknown state %q", name, rule.Name, x.State)
+					}
+				case ModifyField:
+					if !SettableProperty(x.Field) {
+						return fmt.Errorf("lang: %s/%s modifies %s, which MODIFYFIELD cannot set", name, rule.Name, x.Field)
 					}
 				}
 			}

@@ -185,6 +185,25 @@ func TestValidateStructuralErrors(t *testing.T) {
 		t.Errorf("dangling goto: %v", err)
 	}
 
+	// MODIFYFIELD may set only the settable rows of the field table: the
+	// executor would otherwise forward every matching message unmodified.
+	for field, ok := range map[string]bool{
+		PropXid: false, PropMatchDLType: false, PropLength: false, PropFMIdle: true, PropMatchInPort: true,
+	} {
+		a := NewAttack("modify", "s0")
+		a.AddState(&State{
+			Name: "s0",
+			Rules: []*Rule{{
+				Name: "r", Conns: []model.Conn{conn}, Caps: model.AllCapabilities,
+				Cond: True, Actions: []Action{ModifyField{Field: field, Value: Lit{Value: int64(5)}}},
+			}},
+		})
+		err := a.Validate(sys, nil)
+		if ok != (err == nil) || err != nil && !strings.Contains(err.Error(), field) {
+			t.Errorf("modify %s: %v", field, err)
+		}
+	}
+
 	badConn := NewAttack("bad-conn", "s0")
 	badConn.AddState(&State{
 		Name: "s0",

@@ -1,10 +1,6 @@
 package lang
 
-import (
-	"strings"
-
-	"attain/internal/openflow"
-)
+import "attain/internal/openflow"
 
 // Pre-boxed interface values for the property results the injector's hot
 // path produces on every conditional evaluation. Converting a string or a
@@ -25,23 +21,35 @@ var (
 		SwitchToController: SwitchToController.String(),
 		ControllerToSwitch: ControllerToSwitch.String(),
 	}
-	typeValues    = make(map[openflow.Type]Value)
-	commandValues = make(map[openflow.FlowModCommand]Value)
-	reasonValues  = make(map[openflow.PacketInReason]Value)
+
+	// enumNames boxes the names of every openflow.FieldEnum row's values
+	// below 256. enumCodes inverts them for the one-byte rows whose 256
+	// names are all distinct (msg.type), so that compiled conditionals
+	// compare codes, not names.
+	enumNames = make(map[*openflow.Field]*[256]Value)
+	enumCodes = make(map[*openflow.Field]map[string]int64)
+
+	typeField, _    = openflow.FieldNamed(PropType)
+	commandField, _ = openflow.FieldNamed(PropFMCommand)
+	reasonField, _  = openflow.FieldNamed(PropPIReason)
 )
 
 func init() {
-	for t := 0; t < 256; t++ {
-		name := openflow.Type(t).String()
-		if !strings.HasPrefix(name, "UNKNOWN_TYPE") {
-			typeValues[openflow.Type(t)] = name
+	for i := range openflow.Fields {
+		fd := &openflow.Fields[i]
+		if fd.Kind != openflow.FieldEnum {
+			continue
 		}
-	}
-	for c := openflow.FlowModAdd; c <= openflow.FlowModDeleteStrict; c++ {
-		commandValues[c] = c.String()
-	}
-	for r := openflow.PacketInReasonNoMatch; r <= openflow.PacketInReasonAction; r++ {
-		reasonValues[r] = r.String()
+		names := new([256]Value)
+		codes := make(map[string]int64, len(names))
+		for n := range names {
+			names[n] = fd.Enum(uint64(n))
+			codes[names[n].(string)] = int64(n)
+		}
+		enumNames[fd] = names
+		if fd.Width == 1 && len(codes) == len(names) {
+			enumCodes[fd] = codes
+		}
 	}
 }
 
@@ -59,23 +67,16 @@ func directionValue(d Direction) Value {
 	return unknownDirectionValue
 }
 
-func typeValue(t openflow.Type) Value {
-	if v, ok := typeValues[t]; ok {
-		return v
+// enumValue names value n of the FieldEnum row fd.
+func enumValue(fd *openflow.Field, n uint64) Value {
+	if n < 256 {
+		return enumNames[fd][n]
 	}
-	return t.String()
+	return fd.Enum(n)
 }
 
-func commandValue(c openflow.FlowModCommand) Value {
-	if v, ok := commandValues[c]; ok {
-		return v
-	}
-	return c.String()
-}
+func typeValue(t openflow.Type) Value { return enumValue(typeField, uint64(t)) }
 
-func reasonValue(r openflow.PacketInReason) Value {
-	if v, ok := reasonValues[r]; ok {
-		return v
-	}
-	return r.String()
-}
+func commandValue(c openflow.FlowModCommand) Value { return enumValue(commandField, uint64(c)) }
+
+func reasonValue(r openflow.PacketInReason) Value { return enumValue(reasonField, uint64(r)) }

@@ -38,7 +38,7 @@ func EvalCond(e Expr, env *Env) (bool, error) {
 // dotted quad becomes a uint32, a type name an ofp_type code), and a
 // literal no value of the property can equal folds to a constant. `in`
 // over literals becomes a small table, and comparisons between literals
-// fold. Match fields are decoded at most once per view (frameMatch).
+// fold.
 // Nodes with no specialisation — DequeRead, Arith, comparisons between
 // non-literal operands, ordered comparisons that need the interpreter's
 // error — run their own Eval. Views without the frame path (no view, or a
@@ -262,8 +262,8 @@ const (
 	propInt propKind = iota
 	// propStr: strings read without allocating.
 	propStr
-	// propType: the ofp_type code, -1 with no frame ("").
-	propType
+	// propEnum: an enum's code, -1 when absent (""); codes maps names.
+	propEnum
 	// propIPv4: nw_src/nw_dst as a uint32, -1 when wildcarded ("").
 	propIPv4
 	// propMAC: dl_src/dl_dst as a 48-bit integer, -1 when wildcarded ("").
@@ -273,9 +273,10 @@ const (
 // lowered is a property compiled to a frame reader: ints for every kind
 // but propStr, strs for propStr. Readers assume a view with no decoded Msg.
 type lowered struct {
-	kind propKind
-	ints func(*MessageView) int64
-	strs func(*MessageView) string
+	kind  propKind
+	ints  func(*MessageView) int64
+	strs  func(*MessageView) string
+	codes map[string]int64
 }
 
 // key converts a literal into p's domain; ok is false when no value of
@@ -290,22 +291,18 @@ func (p lowered) key(lit Value) (n int64, s string, ok bool) {
 	if !ok || p.kind == propStr {
 		return 0, s, ok
 	}
-	if s == "" {
+	switch {
+	case s == "":
 		return -1, "", true
-	}
-	switch p.kind {
-	case propType:
-		// Frames come from NewFrame, which rejects unknown type codes, so
-		// msg.type only ever reads a name ParseType knows.
-		t, err := openflow.ParseType(s)
-		return int64(t), "", err == nil
-	case propIPv4:
+	case p.kind == propEnum:
+		n, ok = p.codes[s]
+		return n, "", ok
+	case p.kind == propIPv4:
 		ip, err := netaddr.ParseIPv4(s)
 		return int64(ip.Uint32()), "", err == nil && ip.String() == s
-	default:
-		mac, err := netaddr.ParseMAC(s)
-		return mac48(mac), "", err == nil && mac.String() == s
 	}
+	mac, err := netaddr.ParseMAC(s)
+	return mac48(mac), "", err == nil && mac.String() == s
 }
 
 func mac48(m netaddr.MAC) int64 {
@@ -313,7 +310,9 @@ func mac48(m netaddr.MAC) int64 {
 }
 
 // lowerProp returns the frame reader for property name, mirroring
-// Prop.Eval's frame path (frameProp and payloadZero) value for value.
+// Prop.Eval's frame path (frameProp and payloadZero) value for value. A
+// payload property reads through its openflow.Fields row, which is looked
+// up here, once per rule.
 func lowerProp(name string) (lowered, bool) {
 	ints := func(f func(*MessageView) int64) (lowered, bool) { return lowered{kind: propInt, ints: f}, true }
 	strs := func(f func(*MessageView) string) (lowered, bool) { return lowered{kind: propStr, strs: f}, true }
@@ -330,100 +329,37 @@ func lowerProp(name string) (lowered, bool) {
 		return ints(func(v *MessageView) int64 { return int64(v.Length) })
 	case PropID:
 		return ints(func(v *MessageView) int64 { return int64(v.ID) })
-	case PropType:
-		return lowered{kind: propType, ints: func(v *MessageView) int64 {
-			if !v.hasFrame {
-				return -1
-			}
-			return int64(v.frame.Type())
-		}}, true
-	case PropXid:
-		return ints(func(v *MessageView) int64 {
-			if !v.hasFrame {
-				return -1
-			}
-			return int64(v.frame.Xid())
-		})
-	case PropFMCommand:
-		return strs(func(v *MessageView) string {
-			if c, ok := v.frame.FlowModCommand(); ok {
-				return c.String()
-			}
-			return ""
-		})
-	case PropPIReason:
-		return strs(func(v *MessageView) string {
-			if r, ok := v.frame.PacketInReason(); ok {
-				return r.String()
-			}
-			return ""
-		})
-	case PropFMPriority:
-		return ints(frameField(openflow.Frame.FlowModPriority))
-	case PropFMIdle:
-		return ints(frameField(openflow.Frame.FlowModIdleTimeout))
-	case PropFMHard:
-		return ints(frameField(openflow.Frame.FlowModHardTimeout))
-	case PropFMBufferID:
-		return ints(frameField(openflow.Frame.FlowModBufferID))
-	case PropPIInPort:
-		return ints(frameField(openflow.Frame.PacketInInPort))
-	case PropPIBufferID:
-		return ints(frameField(openflow.Frame.PacketInBufferID))
-	case PropPOInPort:
-		return ints(frameField(openflow.Frame.PacketOutInPort))
-	case PropPOBufferID:
-		return ints(frameField(openflow.Frame.PacketOutBufferID))
-	case PropMatchInPort:
-		return ints(matchField(openflow.WildcardInPort, func(m *openflow.Match) int64 { return int64(m.InPort) }))
-	case PropMatchDLType:
-		return ints(matchField(openflow.WildcardDLType, func(m *openflow.Match) int64 { return int64(m.DLType) }))
-	case PropMatchNWProto:
-		return ints(matchField(openflow.WildcardNWProto, func(m *openflow.Match) int64 { return int64(m.NWProto) }))
-	case PropMatchTPSrc:
-		return ints(matchField(openflow.WildcardTPSrc, func(m *openflow.Match) int64 { return int64(m.TPSrc) }))
-	case PropMatchTPDst:
-		return ints(matchField(openflow.WildcardTPDst, func(m *openflow.Match) int64 { return int64(m.TPDst) }))
-	case PropMatchDLSrc:
-		return lowered{kind: propMAC, ints: matchField(openflow.WildcardDLSrc, func(m *openflow.Match) int64 { return mac48(m.DLSrc) })}, true
-	case PropMatchDLDst:
-		return lowered{kind: propMAC, ints: matchField(openflow.WildcardDLDst, func(m *openflow.Match) int64 { return mac48(m.DLDst) })}, true
-	case PropMatchNWSrc:
-		return lowered{kind: propIPv4, ints: func(v *MessageView) int64 {
-			if m := v.frameMatch(); m != nil && m.NWSrcMaskBits() != 0 {
-				return int64(m.NWSrc.Uint32())
-			}
-			return -1
-		}}, true
-	case PropMatchNWDst:
-		return lowered{kind: propIPv4, ints: func(v *MessageView) int64 {
-			if m := v.frameMatch(); m != nil && m.NWDstMaskBits() != 0 {
-				return int64(m.NWDst.Uint32())
-			}
-			return -1
-		}}, true
 	}
-	return lowered{}, false
-}
-
-// frameField adapts a fixed-offset Frame accessor to an int reader that
-// reads -1 (payloadZero) when the frame lacks the field.
-func frameField[T uint16 | uint32](get func(openflow.Frame) (T, bool)) func(*MessageView) int64 {
-	return func(v *MessageView) int64 {
-		if n, ok := get(v.frame); ok {
+	fd, ok := openflow.FieldNamed(name)
+	if !ok {
+		return lowered{}, false
+	}
+	read := func(v *MessageView) int64 {
+		if n, ok := v.frame.Field(fd); ok {
 			return int64(n)
 		}
 		return -1
 	}
-}
-
-// matchField reads one ofp_match field, -1 when the frame has no match or
-// the field is wildcarded.
-func matchField(wildcard uint32, get func(*openflow.Match) int64) func(*MessageView) int64 {
-	return func(v *MessageView) int64 {
-		if m := v.frameMatch(); m != nil && m.Wildcards&wildcard == 0 {
-			return get(m)
+	switch fd.Kind {
+	case openflow.FieldIPv4:
+		return lowered{kind: propIPv4, ints: read}, true
+	case openflow.FieldMAC:
+		return lowered{kind: propMAC, ints: read}, true
+	case openflow.FieldEnum:
+		if codes, ok := enumCodes[fd]; ok {
+			return lowered{kind: propEnum, ints: read, codes: codes}, true
 		}
-		return -1
+		names := enumNames[fd]
+		return strs(func(v *MessageView) string {
+			n, ok := v.frame.Field(fd)
+			switch {
+			case !ok:
+				return ""
+			case n < uint64(len(names)):
+				return names[n].(string)
+			}
+			return fd.Enum(n)
+		})
 	}
+	return ints(read)
 }

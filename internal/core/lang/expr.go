@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"attain/internal/core/model"
+	"attain/internal/netaddr"
 	"attain/internal/openflow"
 )
 
@@ -312,7 +313,9 @@ func (e Lit) String() string { return formatValue(e.Value) }
 // ---- Message properties ----
 
 // Property names understood by Prop. Metadata properties require
-// READMESSAGEMETADATA; payload properties require READMESSAGE.
+// READMESSAGEMETADATA; payload properties require READMESSAGE and are the
+// rows of openflow.Fields, which say where each one sits on the wire. The
+// constants name the properties Go code refers to.
 const (
 	PropSource      = "msg.source"
 	PropDestination = "msg.destination"
@@ -350,19 +353,18 @@ var metadataProps = map[string]bool{
 	PropLength: true, PropID: true, PropDirection: true,
 }
 
-// knownProps lists every property for validation.
-var knownProps = map[string]bool{
-	PropSource: true, PropDestination: true, PropTimestamp: true,
-	PropLength: true, PropID: true, PropDirection: true,
-	PropType: true, PropXid: true,
-	PropFMCommand: true, PropFMPriority: true, PropFMIdle: true,
-	PropFMHard: true, PropFMBufferID: true,
-	PropMatchInPort: true, PropMatchDLSrc: true, PropMatchDLDst: true,
-	PropMatchDLType: true, PropMatchNWProto: true, PropMatchNWSrc: true,
-	PropMatchNWDst: true, PropMatchTPSrc: true, PropMatchTPDst: true,
-	PropPIInPort: true, PropPIBufferID: true, PropPIReason: true,
-	PropPOInPort: true, PropPOBufferID: true,
-}
+// knownProps lists every property for validation: the metadata properties
+// and one per openflow.Fields row.
+var knownProps = func() map[string]bool {
+	known := make(map[string]bool, len(metadataProps)+len(openflow.Fields))
+	for name := range metadataProps {
+		known[name] = true
+	}
+	for _, fd := range openflow.Fields {
+		known[fd.Name] = true
+	}
+	return known
+}()
 
 // KnownProperty reports whether name is a recognized message property.
 func KnownProperty(name string) bool { return knownProps[name] }
@@ -406,7 +408,9 @@ func (e Prop) Eval(env *Env) (Value, error) {
 	return payloadZero(e.Name), nil
 }
 
-// structProp reads a payload property from a decoded message.
+// structProp reads a payload property from a decoded message. It and
+// matchProp are written against the typed codec by hand, and are the
+// oracle the openflow.Fields rows are tested against.
 func structProp(name string, v *MessageView) Value {
 	switch name {
 	case PropType:
@@ -455,81 +459,35 @@ func structProp(name string, v *MessageView) Value {
 	return payloadZero(name)
 }
 
-// frameProp reads a payload property from the zero-copy frame view,
-// mirroring structProp's semantics field for field. Accessor failures
-// (truncated fixed regions) degrade to payloadZero, the same inert values
-// an undecodable message yields.
+// frameProp reads a payload property from the zero-copy frame view through
+// its openflow.Fields row. A frame that does not carry the field (another
+// type, a truncated body, a wildcarded match field) reads payloadZero, the
+// inert value an undecodable message yields.
 func frameProp(name string, f openflow.Frame) Value {
-	switch name {
-	case PropType:
-		return typeValue(f.Type())
-	case PropXid:
-		return int64(f.Xid())
-	}
-	switch f.Type() {
-	case openflow.TypeFlowMod:
-		switch name {
-		case PropFMCommand:
-			if c, ok := f.FlowModCommand(); ok {
-				return commandValue(c)
-			}
-		case PropFMPriority:
-			if n, ok := f.FlowModPriority(); ok {
-				return int64(n)
-			}
-		case PropFMIdle:
-			if n, ok := f.FlowModIdleTimeout(); ok {
-				return int64(n)
-			}
-		case PropFMHard:
-			if n, ok := f.FlowModHardTimeout(); ok {
-				return int64(n)
-			}
-		case PropFMBufferID:
-			if n, ok := f.FlowModBufferID(); ok {
-				return int64(n)
-			}
-		default:
-			if m, ok := f.Match(); ok {
-				if val, ok := matchProp(name, m); ok {
-					return val
-				}
-			}
-		}
-	case openflow.TypeFlowRemoved:
-		if m, ok := f.Match(); ok {
-			if val, ok := matchProp(name, m); ok {
-				return val
-			}
-		}
-	case openflow.TypePacketIn:
-		switch name {
-		case PropPIInPort:
-			if n, ok := f.PacketInInPort(); ok {
-				return int64(n)
-			}
-		case PropPIBufferID:
-			if n, ok := f.PacketInBufferID(); ok {
-				return int64(n)
-			}
-		case PropPIReason:
-			if r, ok := f.PacketInReason(); ok {
-				return reasonValue(r)
-			}
-		}
-	case openflow.TypePacketOut:
-		switch name {
-		case PropPOInPort:
-			if n, ok := f.PacketOutInPort(); ok {
-				return int64(n)
-			}
-		case PropPOBufferID:
-			if n, ok := f.PacketOutBufferID(); ok {
-				return int64(n)
-			}
+	if fd, ok := openflow.FieldNamed(name); ok {
+		if n, ok := f.Field(fd); ok {
+			return fieldValue(fd, n)
 		}
 	}
 	return payloadZero(name)
+}
+
+// fieldValue renders a value read through row fd as the language sees it.
+func fieldValue(fd *openflow.Field, n uint64) Value {
+	switch fd.Kind {
+	case openflow.FieldIPv4:
+		return netaddr.IPv4FromUint32(uint32(n)).String()
+	case openflow.FieldMAC:
+		var mac netaddr.MAC
+		for i := len(mac) - 1; i >= 0; i-- {
+			mac[i] = byte(n)
+			n >>= 8
+		}
+		return mac.String()
+	case openflow.FieldEnum:
+		return enumValue(fd, n)
+	}
+	return int64(n)
 }
 
 // matchProp extracts match-structure properties. Wildcarded fields read as
@@ -591,12 +549,10 @@ func matchProp(name string, m openflow.Match) (Value, bool) {
 // be read: "" for string-typed properties, -1 for numeric ones (so that a
 // comparison with any real value is false, not accidentally true).
 func payloadZero(name string) Value {
-	switch name {
-	case PropType, PropMatchDLSrc, PropMatchDLDst, PropMatchNWSrc, PropMatchNWDst, PropPIReason, PropFMCommand:
+	if fd, ok := openflow.FieldNamed(name); ok && fd.Kind != openflow.FieldUint {
 		return emptyStringValue
-	default:
-		return minusOneValue
 	}
+	return minusOneValue
 }
 
 // RequiredCaps implements Expr.

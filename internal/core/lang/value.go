@@ -88,25 +88,13 @@ type MessageView struct {
 	// materialized records that Materialize decoded the payload, for the
 	// injector's passthrough-vs-materialized accounting.
 	materialized bool
-	// match caches the frame's decoded ofp_match for compiled conditionals
-	// (see frameMatch): decoded at most once per view and shared by every
-	// rule that reads a match field. matchState is 0 before the first
-	// read, then matchPresent or matchAbsent.
-	match      openflow.Match
-	matchState uint8
 }
-
-const (
-	matchPresent uint8 = 1 + iota
-	matchAbsent
-)
 
 // SetFrame attaches a lazy payload view. The injector calls this instead
 // of decoding when READMESSAGE is granted.
 func (v *MessageView) SetFrame(f openflow.Frame) {
 	v.frame = f
 	v.hasFrame = true
-	v.matchState = 0
 }
 
 // ClearFrame detaches the payload view (used when a view outlives the
@@ -114,22 +102,6 @@ func (v *MessageView) SetFrame(f openflow.Frame) {
 func (v *MessageView) ClearFrame() {
 	v.frame = openflow.Frame{}
 	v.hasFrame = false
-	v.matchState = 0
-}
-
-// frameMatch returns the frame's ofp_match (FLOW_MOD and FLOW_REMOVED
-// frames long enough to carry one), decoding it on the first call only.
-func (v *MessageView) frameMatch() *openflow.Match {
-	if v.matchState == 0 {
-		v.matchState = matchAbsent
-		if m, ok := v.frame.Match(); ok {
-			v.match, v.matchState = m, matchPresent
-		}
-	}
-	if v.matchState == matchPresent {
-		return &v.match
-	}
-	return nil
 }
 
 // Frame returns the lazy payload view, if one is attached.

@@ -1,6 +1,10 @@
 package lang
 
-import "sort"
+import (
+	"sort"
+
+	"attain/internal/openflow"
+)
 
 // Vocabulary introspection: the generative layers (internal/synth, the
 // fuzz corpus seeders) draw the language's property and action vocabulary
@@ -32,22 +36,26 @@ func Properties() []string {
 // with READMESSAGEMETADATA alone, no payload access needed.
 func MetadataProperty(name string) bool { return metadataProps[name] }
 
-// PropertyKindOf returns the value type property name evaluates to. For
-// payload properties the answer is derived from the evaluator's own inert
-// zero values (payloadZero), so the classification cannot drift from
-// Eval's behaviour.
+// PropertyKindOf returns the value type property name evaluates to: a
+// payload property's comes from its openflow.Fields row, through the same
+// inert zero value (payloadZero) the evaluator reads, so the
+// classification cannot drift from Eval's behaviour.
 func PropertyKindOf(name string) PropertyKind {
 	switch name {
 	case PropSource, PropDestination, PropDirection:
 		return PropertyString
 	}
-	if metadataProps[name] {
-		return PropertyInt
-	}
 	if _, ok := payloadZero(name).(string); ok {
 		return PropertyString
 	}
 	return PropertyInt
+}
+
+// SettableProperty reports whether MODIFYFIELD may set property name: its
+// openflow.Fields row is patched in place.
+func SettableProperty(name string) bool {
+	fd, ok := openflow.FieldNamed(name)
+	return ok && fd.Settable
 }
 
 // ActionPrototypes returns one zero value of every action type in the

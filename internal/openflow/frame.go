@@ -6,11 +6,12 @@ import (
 )
 
 // Frame is a lazy, zero-copy view over one framed OpenFlow message. It
-// wraps the raw wire bytes and answers header and fixed-offset body
-// questions without materializing a typed Message, so the injector's hot
-// path can evaluate rule conditionals against forwarded traffic and still
-// pass the original bytes through verbatim. Materialize is the escape
-// hatch back to the typed codec for the rare message a rule rewrites.
+// wraps the raw wire bytes and reads header fields and the rows of Fields
+// at their fixed offsets without materializing a typed Message, so the
+// injector's hot path can evaluate rule conditionals against forwarded
+// traffic and still pass the original bytes through verbatim. SetField
+// patches a row in place; Materialize is the escape hatch back to the
+// typed codec.
 //
 // A Frame aliases the buffer it was created over and is valid only as long
 // as the caller owns those bytes; see the pooling ownership rules in
@@ -80,212 +81,10 @@ func (f Frame) Xid() uint32 {
 	return binary.BigEndian.Uint32(f.data[4:8])
 }
 
-// Body returns the bytes after the 8-byte header.
-func (f Frame) Body() []byte {
-	if !f.Valid() {
-		return nil
-	}
-	return f.data[HeaderLen:]
-}
-
 // Materialize decodes the frame into the typed message structs — the
 // escape hatch for code that needs to mutate or deeply inspect a message.
 // It costs a full Unmarshal (and its allocations); the returned Message
 // never aliases the frame's buffer.
 func (f Frame) Materialize() (Header, Message, error) {
 	return Unmarshal(f.data)
-}
-
-// body returns the body only if it is at least n bytes long.
-func (f Frame) body(t Type, n int) ([]byte, bool) {
-	if !f.Valid() || Type(f.data[1]) != t || len(f.data) < HeaderLen+n {
-		return nil, false
-	}
-	return f.data[HeaderLen:], true
-}
-
-// Fixed-offset sizes of the message bodies the accessors below read.
-// flowModFixedLen is ofp_flow_mod up to and including flags (the action
-// list follows); packetInFixedLen is ofp_packet_in up to the packet data;
-// packetOutFixedLen is ofp_packet_out up to the action list.
-const (
-	flowModFixedLen     = matchLen + 24
-	flowRemovedFixedLen = matchLen + 40
-	packetInFixedLen    = 10
-	packetOutFixedLen   = 8
-)
-
-// FlowModCommand returns the command of a FLOW_MOD frame.
-func (f Frame) FlowModCommand() (FlowModCommand, bool) {
-	b, ok := f.body(TypeFlowMod, flowModFixedLen)
-	if !ok {
-		return 0, false
-	}
-	return FlowModCommand(binary.BigEndian.Uint16(b[48:50])), true
-}
-
-// FlowModIdleTimeout returns the idle timeout of a FLOW_MOD frame.
-func (f Frame) FlowModIdleTimeout() (uint16, bool) {
-	b, ok := f.body(TypeFlowMod, flowModFixedLen)
-	if !ok {
-		return 0, false
-	}
-	return binary.BigEndian.Uint16(b[50:52]), true
-}
-
-// FlowModHardTimeout returns the hard timeout of a FLOW_MOD frame.
-func (f Frame) FlowModHardTimeout() (uint16, bool) {
-	b, ok := f.body(TypeFlowMod, flowModFixedLen)
-	if !ok {
-		return 0, false
-	}
-	return binary.BigEndian.Uint16(b[52:54]), true
-}
-
-// FlowModPriority returns the priority of a FLOW_MOD frame.
-func (f Frame) FlowModPriority() (uint16, bool) {
-	b, ok := f.body(TypeFlowMod, flowModFixedLen)
-	if !ok {
-		return 0, false
-	}
-	return binary.BigEndian.Uint16(b[54:56]), true
-}
-
-// FlowModBufferID returns the buffer id of a FLOW_MOD frame.
-func (f Frame) FlowModBufferID() (uint32, bool) {
-	b, ok := f.body(TypeFlowMod, flowModFixedLen)
-	if !ok {
-		return 0, false
-	}
-	return binary.BigEndian.Uint32(b[56:60]), true
-}
-
-// FlowModOutPort returns the out_port of a FLOW_MOD frame.
-func (f Frame) FlowModOutPort() (uint16, bool) {
-	b, ok := f.body(TypeFlowMod, flowModFixedLen)
-	if !ok {
-		return 0, false
-	}
-	return binary.BigEndian.Uint16(b[60:62]), true
-}
-
-// FlowModCookie returns the cookie of a FLOW_MOD frame.
-func (f Frame) FlowModCookie() (uint64, bool) {
-	b, ok := f.body(TypeFlowMod, flowModFixedLen)
-	if !ok {
-		return 0, false
-	}
-	return binary.BigEndian.Uint64(b[40:48]), true
-}
-
-// Match returns the ofp_match of a FLOW_MOD or FLOW_REMOVED frame (both
-// carry it at body offset 0), decoded without allocating.
-func (f Frame) Match() (Match, bool) {
-	if !f.Valid() || len(f.data) < HeaderLen+matchLen {
-		return Match{}, false
-	}
-	t := Type(f.data[1])
-	if t != TypeFlowMod && t != TypeFlowRemoved {
-		return Match{}, false
-	}
-	return decodeMatch(f.data[HeaderLen:]), true
-}
-
-// PacketInBufferID returns the buffer id of a PACKET_IN frame.
-func (f Frame) PacketInBufferID() (uint32, bool) {
-	b, ok := f.body(TypePacketIn, packetInFixedLen)
-	if !ok {
-		return 0, false
-	}
-	return binary.BigEndian.Uint32(b[0:4]), true
-}
-
-// PacketInTotalLen returns the total_len of a PACKET_IN frame.
-func (f Frame) PacketInTotalLen() (uint16, bool) {
-	b, ok := f.body(TypePacketIn, packetInFixedLen)
-	if !ok {
-		return 0, false
-	}
-	return binary.BigEndian.Uint16(b[4:6]), true
-}
-
-// PacketInInPort returns the in_port of a PACKET_IN frame.
-func (f Frame) PacketInInPort() (uint16, bool) {
-	b, ok := f.body(TypePacketIn, packetInFixedLen)
-	if !ok {
-		return 0, false
-	}
-	return binary.BigEndian.Uint16(b[6:8]), true
-}
-
-// PacketInReason returns the reason of a PACKET_IN frame.
-func (f Frame) PacketInReason() (PacketInReason, bool) {
-	b, ok := f.body(TypePacketIn, packetInFixedLen)
-	if !ok {
-		return 0, false
-	}
-	return PacketInReason(b[8]), true
-}
-
-// PacketInData returns the packet bytes of a PACKET_IN frame. The slice
-// aliases the frame's buffer.
-func (f Frame) PacketInData() ([]byte, bool) {
-	b, ok := f.body(TypePacketIn, packetInFixedLen)
-	if !ok {
-		return nil, false
-	}
-	return b[packetInFixedLen:], true
-}
-
-// PacketOutBufferID returns the buffer id of a PACKET_OUT frame.
-func (f Frame) PacketOutBufferID() (uint32, bool) {
-	b, ok := f.body(TypePacketOut, packetOutFixedLen)
-	if !ok {
-		return 0, false
-	}
-	return binary.BigEndian.Uint32(b[0:4]), true
-}
-
-// PacketOutInPort returns the in_port of a PACKET_OUT frame.
-func (f Frame) PacketOutInPort() (uint16, bool) {
-	b, ok := f.body(TypePacketOut, packetOutFixedLen)
-	if !ok {
-		return 0, false
-	}
-	return binary.BigEndian.Uint16(b[4:6]), true
-}
-
-// EchoData returns the opaque payload of an ECHO_REQUEST or ECHO_REPLY
-// frame. The slice aliases the frame's buffer.
-func (f Frame) EchoData() ([]byte, bool) {
-	if !f.Valid() {
-		return nil, false
-	}
-	t := Type(f.data[1])
-	if t != TypeEchoRequest && t != TypeEchoReply {
-		return nil, false
-	}
-	return f.data[HeaderLen:], true
-}
-
-// decodeMatch parses a 40-byte ofp_match region without allocating.
-// b must be at least matchLen bytes.
-func decodeMatch(b []byte) Match {
-	var m Match
-	m.Wildcards = binary.BigEndian.Uint32(b[0:4])
-	m.InPort = binary.BigEndian.Uint16(b[4:6])
-	copy(m.DLSrc[:], b[6:12])
-	copy(m.DLDst[:], b[12:18])
-	m.DLVLAN = binary.BigEndian.Uint16(b[18:20])
-	m.DLVLANPCP = b[20]
-	// b[21] is padding.
-	m.DLType = binary.BigEndian.Uint16(b[22:24])
-	m.NWTOS = b[24]
-	m.NWProto = b[25]
-	// b[26:28] is padding.
-	copy(m.NWSrc[:], b[28:32])
-	copy(m.NWDst[:], b[32:36])
-	m.TPSrc = binary.BigEndian.Uint16(b[36:38])
-	m.TPDst = binary.BigEndian.Uint16(b[38:40])
-	return m
 }

@@ -27,12 +27,23 @@ func TestFrameHeaderAccessors(t *testing.T) {
 	if fr.Xid() != 0xdeadbeef {
 		t.Fatalf("xid = %#x", fr.Xid())
 	}
-	if fr.Len() != HeaderLen+4 || len(fr.Body()) != 4 {
-		t.Fatalf("len = %d body = %d", fr.Len(), len(fr.Body()))
+	if fr.Len() != HeaderLen+4 || string(fr.Bytes()[HeaderLen:]) != "ping" {
+		t.Fatalf("len = %d bytes = %q", fr.Len(), fr.Bytes())
 	}
-	if data, ok := fr.EchoData(); !ok || string(data) != "ping" {
-		t.Fatalf("echo data = %q ok=%v", data, ok)
+	var zero Frame
+	if zero.Valid() || zero.Type() != 0 || zero.Xid() != 0 || zero.Version() != 0 {
+		t.Error("zero Frame is not inert")
 	}
+}
+
+// readField reads the row named name from fr.
+func readField(t *testing.T, fr Frame, name string) (uint64, bool) {
+	t.Helper()
+	fd, ok := FieldNamed(name)
+	if !ok {
+		t.Fatalf("no row %s", name)
+	}
+	return fr.Field(fd)
 }
 
 func TestFrameFlowModAccessors(t *testing.T) {
@@ -48,111 +59,111 @@ func TestFrameFlowModAccessors(t *testing.T) {
 		Actions:     []Action{ActionOutput{Port: 2}},
 	}
 	fr := mustFrame(t, 1, fm)
-	check := func(name string, got, want any, ok bool) {
-		t.Helper()
-		if !ok || got != want {
-			t.Errorf("%s = %v (ok=%v), want %v", name, got, ok, want)
+	for name, want := range map[string]uint64{
+		"msg.type": uint64(TypeFlowMod), "msg.xid": 1,
+		"msg.flowmod.command": uint64(FlowModModifyStrict), "msg.flowmod.idle_timeout": 60,
+		"msg.flowmod.hard_timeout": 600, "msg.flowmod.priority": 32768,
+		"msg.flowmod.buffer_id": uint64(NoBuffer), "msg.match.in_port": 3,
+		"msg.match.dl_type": 0x0800, "msg.match.nw_proto": 6, "msg.match.tp_src": 80,
+		"msg.match.tp_dst": 443, "msg.match.nw_src": 0, "msg.match.dl_src": 0,
+	} {
+		if got, ok := readField(t, fr, name); !ok || got != want {
+			t.Errorf("%s = %d (ok=%v), want %d", name, got, ok, want)
 		}
 	}
-	cmd, ok := fr.FlowModCommand()
-	check("command", cmd, fm.Command, ok)
-	idle, ok := fr.FlowModIdleTimeout()
-	check("idle", idle, fm.IdleTimeout, ok)
-	hard, ok := fr.FlowModHardTimeout()
-	check("hard", hard, fm.HardTimeout, ok)
-	prio, ok := fr.FlowModPriority()
-	check("priority", prio, fm.Priority, ok)
-	buf, ok := fr.FlowModBufferID()
-	check("buffer_id", buf, fm.BufferID, ok)
-	out, ok := fr.FlowModOutPort()
-	check("out_port", out, fm.OutPort, ok)
-	cookie, ok := fr.FlowModCookie()
-	check("cookie", cookie, fm.Cookie, ok)
-	match, ok := fr.Match()
-	if !ok || match != fm.Match {
-		t.Errorf("match = %+v (ok=%v), want %+v", match, ok, fm.Match)
+	// A wildcarded match field, and the /0 nw_dst, read as absent.
+	fm.Match.Wildcards |= WildcardTPDst
+	fm.Match.SetNWDstMaskBits(0)
+	fr = mustFrame(t, 1, fm)
+	for _, name := range []string{"msg.match.tp_dst", "msg.match.nw_dst", "msg.packetin.in_port"} {
+		if v, ok := readField(t, fr, name); ok {
+			t.Errorf("%s read %d on a frame that does not carry it", name, v)
+		}
+	}
+	if _, ok := readField(t, fr, "msg.match.tp_src"); !ok {
+		t.Error("tp_src hidden by tp_dst's wildcard")
 	}
 }
 
 func TestFramePacketAccessors(t *testing.T) {
 	pi := &PacketIn{BufferID: 42, TotalLen: 99, InPort: 7, Reason: PacketInReasonAction, Data: []byte{1, 2, 3}}
 	fr := mustFrame(t, 2, pi)
-	if v, ok := fr.PacketInBufferID(); !ok || v != 42 {
-		t.Errorf("packet_in buffer_id = %d ok=%v", v, ok)
+	for name, want := range map[string]uint64{
+		"msg.packetin.buffer_id": 42, "msg.packetin.in_port": 7, "msg.packetin.reason": uint64(PacketInReasonAction),
+	} {
+		if got, ok := readField(t, fr, name); !ok || got != want {
+			t.Errorf("%s = %d (ok=%v), want %d", name, got, ok, want)
+		}
 	}
-	if v, ok := fr.PacketInTotalLen(); !ok || v != 99 {
-		t.Errorf("packet_in total_len = %d ok=%v", v, ok)
-	}
-	if v, ok := fr.PacketInInPort(); !ok || v != 7 {
-		t.Errorf("packet_in in_port = %d ok=%v", v, ok)
-	}
-	if v, ok := fr.PacketInReason(); !ok || v != PacketInReasonAction {
-		t.Errorf("packet_in reason = %s ok=%v", v, ok)
-	}
-	if d, ok := fr.PacketInData(); !ok || !bytes.Equal(d, pi.Data) {
-		t.Errorf("packet_in data = %x ok=%v", d, ok)
+	fro := mustFrame(t, 3, &PacketOut{BufferID: NoBuffer, InPort: 5, Actions: []Action{ActionOutput{Port: 1}}})
+	for name, want := range map[string]uint64{"msg.packetout.buffer_id": uint64(NoBuffer), "msg.packetout.in_port": 5} {
+		if got, ok := readField(t, fro, name); !ok || got != want {
+			t.Errorf("%s = %d (ok=%v), want %d", name, got, ok, want)
+		}
 	}
 
-	po := &PacketOut{BufferID: NoBuffer, InPort: 5, Actions: []Action{ActionOutput{Port: 1}}}
-	fro := mustFrame(t, 3, po)
-	if v, ok := fro.PacketOutBufferID(); !ok || v != NoBuffer {
-		t.Errorf("packet_out buffer_id = %d ok=%v", v, ok)
+	// Wrong-type, truncated-body and zero-frame lookups fail cleanly, and
+	// SetField writes nothing where it cannot.
+	if _, ok := readField(t, fro, "msg.packetin.buffer_id"); ok {
+		t.Error("PACKET_IN buffer_id read on a PACKET_OUT frame")
 	}
-	if v, ok := fro.PacketOutInPort(); !ok || v != 5 {
-		t.Errorf("packet_out in_port = %d ok=%v", v, ok)
+	if _, ok := readField(t, fr, "msg.match.in_port"); ok {
+		t.Error("match read on a PACKET_IN frame")
 	}
-
-	// Wrong-type and truncated-body lookups fail cleanly.
-	if _, ok := fro.PacketInBufferID(); ok {
-		t.Error("PacketInBufferID succeeded on a PACKET_OUT frame")
-	}
-	if _, ok := fr.Match(); ok {
-		t.Error("Match succeeded on a PACKET_IN frame")
-	}
-	short := []byte{Version, byte(TypePacketIn), 0, 12, 0, 0, 0, 1, 0, 0, 0, 0}
+	short := []byte{Version, byte(TypePacketIn), 0, 16, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 3}
 	sf, err := NewFrame(short)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sf.PacketInReason(); ok {
-		t.Error("PacketInReason succeeded on a truncated body")
+	if _, ok := readField(t, sf, "msg.packetin.reason"); ok {
+		t.Error("reason read past the end of a 16-byte PACKET_IN")
 	}
-	var zero Frame
-	if zero.Valid() || zero.Type() != 0 || zero.Body() != nil {
-		t.Error("zero Frame is not inert")
+	if v, ok := readField(t, sf, "msg.packetin.in_port"); !ok || v != 3 {
+		t.Errorf("in_port of the truncated PACKET_IN = %d, %v", v, ok)
+	}
+	if _, ok := readField(t, Frame{}, "msg.xid"); ok {
+		t.Error("xid read on the zero Frame")
+	}
+	inPort, _ := FieldNamed("msg.packetin.in_port")
+	xid, _ := FieldNamed("msg.xid")
+	before := append([]byte(nil), fro.Bytes()...)
+	if fro.SetField(inPort, 1) || fr.SetField(xid, 1) || !bytes.Equal(fro.Bytes(), before) {
+		t.Error("SetField wrote a row the frame does not carry, or one that is not settable")
+	}
+	if !fr.SetField(inPort, 0x10009) {
+		t.Fatal("SetField refused PACKET_IN in_port")
+	}
+	if v, _ := fr.Field(inPort); v != 9 {
+		t.Errorf("in_port after SetField = %d, want the low 16 bits, 9", v)
+	}
+	if _, ok := FieldNamed("msg.length"); ok {
+		t.Error("metadata property found in the payload table")
 	}
 }
 
-// TestFrameAccessorsZeroAlloc pins the tentpole invariant: building a view
-// and reading header and match fields through it never allocates.
+// TestFrameAccessorsZeroAlloc pins that building a view, reading every row
+// and patching a settable one never allocates.
 func TestFrameAccessorsZeroAlloc(t *testing.T) {
-	fm := &FlowMod{Match: MatchAll(), BufferID: NoBuffer, OutPort: PortNone,
-		Actions: []Action{ActionOutput{Port: 1}}}
-	raw, err := Marshal(7, fm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seeds := rowSeeds(t)
+	idle, _ := FieldNamed("msg.flowmod.idle_timeout")
+	fm := seeds[3]
 	var sink uint64
 	allocs := testing.AllocsPerRun(1000, func() {
-		fr, err := NewFrame(raw)
-		if err != nil {
-			t.Fatal(err)
+		for _, b := range [][]byte{seeds[0], fm} {
+			fr, err := NewFrame(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range Fields {
+				v, _ := fr.Field(&Fields[i])
+				sink += v
+			}
 		}
-		sink += uint64(fr.Xid()) + uint64(fr.Type()) + uint64(fr.Len())
-		m, ok := fr.Match()
-		if !ok {
-			t.Fatal("no match")
-		}
-		sink += uint64(m.Wildcards)
-		cmd, _ := fr.FlowModCommand()
-		sink += uint64(cmd)
-		prio, _ := fr.FlowModPriority()
-		sink += uint64(prio)
-		bid, _ := fr.FlowModBufferID()
-		sink += uint64(bid)
+		fr, _ := NewFrame(fm)
+		fr.SetField(idle, sink)
 	})
 	if allocs != 0 {
-		t.Fatalf("frame accessors allocate: %v allocs/op (sink %d)", allocs, sink)
+		t.Fatalf("frame field access allocates: %v allocs/op (sink %d)", allocs, sink)
 	}
 }
 

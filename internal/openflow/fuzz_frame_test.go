@@ -7,11 +7,15 @@ import (
 )
 
 // FuzzFrameViewDifferential pins the zero-copy Frame view against the full
-// codec: for arbitrary input, every Frame accessor must agree with what
-// openflow.Unmarshal decodes (same values), and whenever Unmarshal accepts
-// a frame NewFrame must too. NewFrame is deliberately laxer than Unmarshal
-// — it validates only header framing, leaving bodies lazy — so accessors
-// additionally must never panic on frames whose bodies Unmarshal rejects.
+// codec: for arbitrary input, whenever Unmarshal accepts a frame NewFrame
+// must too, every row of Fields must read what Unmarshal decodes, and on
+// frames the codec re-encodes byte for byte, SetField on every settable
+// row must produce what "Unmarshal, set the struct field, Marshal" does.
+// NewFrame is deliberately laxer than Unmarshal — it validates only header
+// framing, leaving bodies lazy — so reads additionally must never panic on
+// frames whose bodies Unmarshal rejects. The rows are iterated, and the
+// corpus holds one frame per row, so a new row is fuzzed by this target
+// as it stands.
 func FuzzFrameViewDifferential(f *testing.F) {
 	addFuzzSeeds(f)
 
@@ -36,25 +40,10 @@ func FuzzFrameViewDifferential(f *testing.F) {
 			t.Fatal("Bytes() does not view the framed bytes")
 		}
 
-		// Exercise every accessor: on body-invalid frames they must simply
-		// not panic; on fully valid frames they must agree with the struct.
-		fmCmd, fmCmdOK := fr.FlowModCommand()
-		fmIdle, _ := fr.FlowModIdleTimeout()
-		fmHard, _ := fr.FlowModHardTimeout()
-		fmPrio, _ := fr.FlowModPriority()
-		fmBuf, _ := fr.FlowModBufferID()
-		fmOut, _ := fr.FlowModOutPort()
-		fmCookie, _ := fr.FlowModCookie()
-		match, matchOK := fr.Match()
-		piBuf, piOK := fr.PacketInBufferID()
-		piTotal, _ := fr.PacketInTotalLen()
-		piPort, _ := fr.PacketInInPort()
-		piReason, _ := fr.PacketInReason()
-		piData, _ := fr.PacketInData()
-		poBuf, poOK := fr.PacketOutBufferID()
-		poPort, _ := fr.PacketOutInPort()
-		echo, echoOK := fr.EchoData()
-
+		// On body-invalid frames the rows must simply not panic.
+		for i := range Fields {
+			fr.Field(&Fields[i])
+		}
 		if uerr != nil {
 			return
 		}
@@ -66,53 +55,7 @@ func FuzzFrameViewDifferential(f *testing.F) {
 		if fm.Type() != msg.Type() {
 			t.Fatalf("Materialize type %s vs %s", fm.Type(), msg.Type())
 		}
-
-		switch m := msg.(type) {
-		case *FlowMod:
-			if !fmCmdOK || !matchOK {
-				t.Fatal("FLOW_MOD accessors failed on a frame Unmarshal accepted")
-			}
-			if fmCmd != m.Command || fmIdle != m.IdleTimeout || fmHard != m.HardTimeout ||
-				fmPrio != m.Priority || fmBuf != m.BufferID || fmOut != m.OutPort ||
-				fmCookie != m.Cookie {
-				t.Fatalf("FLOW_MOD field mismatch: frame vs %+v", m)
-			}
-			if match != m.Match {
-				t.Fatalf("FLOW_MOD match mismatch: %+v vs %+v", match, m.Match)
-			}
-		case *FlowRemoved:
-			if !matchOK {
-				t.Fatal("FLOW_REMOVED Match() failed on a frame Unmarshal accepted")
-			}
-			if match != m.Match {
-				t.Fatalf("FLOW_REMOVED match mismatch: %+v vs %+v", match, m.Match)
-			}
-		case *PacketIn:
-			if !piOK {
-				t.Fatal("PACKET_IN accessors failed on a frame Unmarshal accepted")
-			}
-			if piBuf != m.BufferID || piTotal != m.TotalLen || piPort != m.InPort || piReason != m.Reason {
-				t.Fatalf("PACKET_IN field mismatch: frame vs %+v", m)
-			}
-			if !bytes.Equal(piData, m.Data) {
-				t.Fatalf("PACKET_IN data mismatch: %x vs %x", piData, m.Data)
-			}
-		case *PacketOut:
-			if !poOK {
-				t.Fatal("PACKET_OUT accessors failed on a frame Unmarshal accepted")
-			}
-			if poBuf != m.BufferID || poPort != m.InPort {
-				t.Fatalf("PACKET_OUT field mismatch: frame vs %+v", m)
-			}
-		case *EchoRequest:
-			if !echoOK || !bytes.Equal(echo, m.Data) {
-				t.Fatalf("ECHO_REQUEST data mismatch: %x vs %x", echo, m.Data)
-			}
-		case *EchoReply:
-			if !echoOK || !bytes.Equal(echo, m.Data) {
-				t.Fatalf("ECHO_REPLY data mismatch: %x vs %x", echo, m.Data)
-			}
-		}
+		checkRowsAgainstCodec(t, fr, hdr, msg)
 
 		// The mutation path (Materialize + AppendMessage with the original
 		// xid) must stay byte-compatible with the old Marshal codec.
@@ -128,6 +71,9 @@ func FuzzFrameViewDifferential(f *testing.F) {
 			t.Fatalf("AppendMessage not byte-compatible with Marshal:\n%x\n%x", appended, old)
 		}
 		PutBuffer(appended)
+		if bytes.Equal(old, fr.Bytes()) {
+			checkSetAgainstCodec(t, old, uint64(hdr.Xid)<<16|uint64(len(data)))
+		}
 	})
 }
 

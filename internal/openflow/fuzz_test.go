@@ -37,8 +37,8 @@ func fuzzSeedMessages() []Message {
 	}
 }
 
-// addFuzzSeeds registers the shared corpus: one frame per message type
-// plus framing edge cases.
+// addFuzzSeeds registers the shared corpus: one frame per message type,
+// one per row of Fields, plus framing edge cases.
 func addFuzzSeeds(f *testing.F) {
 	f.Helper()
 	for _, m := range fuzzSeedMessages() {
@@ -46,6 +46,9 @@ func addFuzzSeeds(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		f.Add(raw)
+	}
+	for _, raw := range rowSeeds(f) {
 		f.Add(raw)
 	}
 	f.Add([]byte{})

@@ -1,6 +1,7 @@
 package openflow
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -342,4 +343,26 @@ func (m Match) String() string {
 		return "any"
 	}
 	return strings.Join(parts, ",")
+}
+
+// decodeMatch parses a 40-byte ofp_match region without allocating.
+// b must be at least matchLen bytes.
+func decodeMatch(b []byte) Match {
+	var m Match
+	m.Wildcards = binary.BigEndian.Uint32(b[0:4])
+	m.InPort = binary.BigEndian.Uint16(b[4:6])
+	copy(m.DLSrc[:], b[6:12])
+	copy(m.DLDst[:], b[12:18])
+	m.DLVLAN = binary.BigEndian.Uint16(b[18:20])
+	m.DLVLANPCP = b[20]
+	// b[21] is padding.
+	m.DLType = binary.BigEndian.Uint16(b[22:24])
+	m.NWTOS = b[24]
+	m.NWProto = b[25]
+	// b[26:28] is padding.
+	copy(m.NWSrc[:], b[28:32])
+	copy(m.NWDst[:], b[32:36])
+	m.TPSrc = binary.BigEndian.Uint16(b[36:38])
+	m.TPDst = binary.BigEndian.Uint16(b[38:40])
+	return m
 }

@@ -260,6 +260,78 @@ func TestTableExpiry(t *testing.T) {
 	}
 }
 
+// TestTableExpiresExactlyAtTimeout pins that a flow leaves the table at
+// exactly its idle or hard timeout, not one tick later.
+func TestTableExpiresExactlyAtTimeout(t *testing.T) {
+	t0 := time.Unix(0, 0)
+	for _, c := range []struct {
+		name       string
+		idle, hard uint16
+		reason     openflow.FlowRemovedReason
+	}{
+		{"idle", 5, 0, openflow.FlowRemovedIdleTimeout},
+		{"hard", 0, 5, openflow.FlowRemovedHardTimeout},
+	} {
+		tbl := NewTable(0)
+		fm := addFM(openflow.ExactFrom(tcpFields()), 1, 2)
+		fm.IdleTimeout, fm.HardTimeout = c.idle, c.hard
+		if err := tbl.Add(fm, t0); err != nil {
+			t.Fatal(err)
+		}
+		if exp := tbl.Expire(t0.Add(5*time.Second - time.Nanosecond)); len(exp) != 0 {
+			t.Fatalf("%s: expired a tick early: %+v", c.name, exp)
+		}
+		exp := tbl.Expire(t0.Add(5 * time.Second))
+		if len(exp) != 1 || exp[0].Reason != c.reason {
+			t.Fatalf("%s: expire at the timeout = %+v, want one %v", c.name, exp, c.reason)
+		}
+	}
+}
+
+// TestTableEqualPriorityInsertionOrder pins that among overlapping entries
+// of equal priority, the one installed first matches.
+func TestTableEqualPriorityInsertionOrder(t *testing.T) {
+	tbl := NewTable(0)
+	now := time.Unix(0, 0)
+	f := tcpFields()
+	if err := tbl.Add(addFM(openflow.MatchAll(), 10, 9), now); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Add(addFM(openflow.ExactFrom(f), 10, 2), now); err != nil {
+		t.Fatal(err)
+	}
+	e := tbl.Lookup(f, 1, now)
+	if e == nil || e.Actions[0] != (openflow.ActionOutput{Port: 9}) {
+		t.Fatalf("lookup chose %+v, want the first-installed catch-all", e)
+	}
+}
+
+// TestTableExpireReleasesEvicted pins that Expire clears the slots it
+// vacates in the backing array, so expired entries can be collected.
+func TestTableExpireReleasesEvicted(t *testing.T) {
+	tbl := NewTable(0)
+	t0 := time.Unix(0, 0)
+	for port := uint16(1); port <= 4; port++ {
+		f := tcpFields()
+		f.TPDst = port
+		fm := addFM(openflow.ExactFrom(f), 1, port)
+		if port%2 == 0 {
+			fm.HardTimeout = 1
+		}
+		if err := tbl.Add(fm, t0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if exp := tbl.Expire(t0.Add(time.Second)); len(exp) != 2 {
+		t.Fatalf("expired %d entries, want 2", len(exp))
+	}
+	for i, e := range tbl.entries[len(tbl.entries):cap(tbl.entries)] {
+		if e != nil {
+			t.Fatalf("vacated slot %d still holds %+v", len(tbl.entries)+i, e)
+		}
+	}
+}
+
 func TestTableFull(t *testing.T) {
 	tbl := NewTable(2)
 	now := time.Unix(0, 0)

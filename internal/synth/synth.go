@@ -41,6 +41,8 @@ type Generator struct {
 	intProps []string
 	strProps []string
 	metaProp []string
+	// setProps are the properties MODIFYFIELD can set.
+	setProps []string
 }
 
 // Program is one generated attack: the structural form, its canonical DSL
@@ -122,6 +124,9 @@ func New(cfg Config) (*Generator, error) {
 		}
 		if lang.MetadataProperty(name) {
 			g.metaProp = append(g.metaProp, name)
+		}
+		if lang.SettableProperty(name) {
+			g.setProps = append(g.setProps, name)
 		}
 	}
 	// The action table is derived from the language's own prototype list.
@@ -420,7 +425,7 @@ func (b *builder) action() lang.Action {
 		}
 		return lang.FuzzMessage{Seed: 1 + b.rng.Int63n(1<<30)}
 	case lang.ModifyField:
-		name := b.gen.intProps[b.rng.Intn(len(b.gen.intProps))]
+		name := b.gen.setProps[b.rng.Intn(len(b.gen.setProps))]
 		return lang.ModifyField{Field: name, Value: b.intOperand(1, true)}
 	case lang.ModifyMetadata:
 		name := b.gen.metaProp[b.rng.Intn(len(b.gen.metaProp))]
