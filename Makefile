@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet build test race flake sim cover sleepfloor bench-check grid-bench smoke grid-smoke serve-smoke fabric-smoke synth-smoke fuzz-smoke fuzz-seed clean
+.PHONY: ci vet build test race flake sim cover sleepfloor bench-check grid-bench inject-bench smoke grid-smoke serve-smoke fabric-smoke synth-smoke fuzz-smoke fuzz-seed clean
 
-ci: vet build test race flake sim cover sleepfloor bench-check grid-bench fuzz-smoke smoke grid-smoke serve-smoke fabric-smoke synth-smoke
+ci: vet build test race flake sim cover sleepfloor bench-check grid-bench inject-bench fuzz-smoke smoke grid-smoke serve-smoke fabric-smoke synth-smoke
 
 vet:
 	$(GO) vet ./...
@@ -75,6 +75,11 @@ bench-check:
 # them fails here rather than at the next person who wants a number.
 grid-bench:
 	$(GO) test ./internal/grid -run '^$$' -bench 'GridLocalStub|EncodeResultBatch' -benchtime 1x
+
+# The injector's message-path benchmarks, once each: a change that breaks
+# baselineProcess or the loop harness they share fails here.
+inject-bench:
+	$(GO) test ./internal/core/inject -run '^$$' -bench 'InjectorPassthrough|InjectorShardedBatch|InjectorMaterialized' -benchtime 1x
 
 # End-to-end smoke: one short interruption scenario through the campaign
 # CLI with telemetry tracing on, artifacts written to a scratch directory.

@@ -85,8 +85,10 @@ type Controller struct {
 	ln       net.Listener
 	switches map[uint64]*SwitchConn
 	conns    map[*SwitchConn]struct{}
-	stats    Stats
-	started  bool
+	// connections counts accepted switch sessions; the other Stats
+	// quantities live in ctrs.
+	connections uint64
+	started     bool
 
 	// eventSem serializes PACKET_IN when SingleThreaded. It is a one-slot
 	// channel, not a mutex, because it is held across the processing-delay
@@ -104,33 +106,30 @@ func New(cfg Config, clk clock.Clock) *Controller {
 	if cfg.HandshakeTimeout <= 0 {
 		cfg.HandshakeTimeout = 5 * time.Second
 	}
-	return &Controller{
+	c := &Controller{
 		cfg:      cfg,
 		clk:      clk,
 		tele:     cfg.Telemetry,
-		ctrs:     buildCtrlCounters(cfg.Telemetry, cfg.Name),
 		switches: make(map[uint64]*SwitchConn),
 		conns:    make(map[*SwitchConn]struct{}),
 		eventSem: make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 	}
+	prefix := "controller." + cfg.Name
+	c.ctrs.packetIns = c.tele.Live(&c.ctrs.live[0], prefix+".packet_ins")
+	c.ctrs.flowModsSent = c.tele.Live(&c.ctrs.live[1], prefix+".flow_mods_sent")
+	c.ctrs.packetOutsSent = c.tele.Live(&c.ctrs.live[2], prefix+".packet_outs_sent")
+	return c
 }
 
-// ctrlCounters holds the controller's pre-resolved telemetry counters;
-// nil fields (telemetry disabled) make every update a no-op.
+// ctrlCounters is the controller's one record of packet-ins, flow-mods
+// sent and packet-outs sent: they count whether or not telemetry is on,
+// Stats reads them, and telemetry registers them when it is on.
 type ctrlCounters struct {
 	packetIns      *telemetry.Counter
 	flowModsSent   *telemetry.Counter
 	packetOutsSent *telemetry.Counter
-}
-
-func buildCtrlCounters(tele *telemetry.Telemetry, name string) ctrlCounters {
-	prefix := "controller." + name
-	return ctrlCounters{
-		packetIns:      tele.Counter(prefix + ".packet_ins"),
-		flowModsSent:   tele.Counter(prefix + ".flow_mods_sent"),
-		packetOutsSent: tele.Counter(prefix + ".packet_outs_sent"),
-	}
+	live           [3]telemetry.Counter
 }
 
 // Name returns the controller name.
@@ -149,8 +148,14 @@ func (c *Controller) Addr() string {
 // Stats returns a snapshot of the activity counters.
 func (c *Controller) Stats() Stats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	conns := c.connections
+	c.mu.Unlock()
+	return Stats{
+		Connections:    conns,
+		PacketIns:      c.ctrs.packetIns.Value(),
+		FlowModsSent:   c.ctrs.flowModsSent.Value(),
+		PacketOutsSent: c.ctrs.packetOutsSent.Value(),
+	}
 }
 
 // Switches returns the currently connected switches keyed by DPID.
@@ -269,7 +274,7 @@ func (c *Controller) serve(conn net.Conn) {
 		return
 	}
 	c.mu.Lock()
-	c.stats.Connections++
+	c.connections++
 	c.switches[sw.dpid] = sw
 	c.mu.Unlock()
 	if c.tele.Enabled() {
@@ -366,9 +371,6 @@ func (c *Controller) dispatch(sw *SwitchConn, hdr openflow.Header, msg openflow.
 	case *openflow.EchoRequest:
 		_ = sw.sendXid(hdr.Xid, &openflow.EchoReply{Data: m.Data})
 	case *openflow.PacketIn:
-		c.mu.Lock()
-		c.stats.PacketIns++
-		c.mu.Unlock()
 		c.ctrs.packetIns.Inc()
 		if c.cfg.SingleThreaded {
 			c.eventSem <- struct{}{}
@@ -439,14 +441,6 @@ func (sw *SwitchConn) sendXid(xid uint32, msg openflow.Message) error {
 	}
 	_, err = sw.conn.Write(buf)
 	if err == nil {
-		sw.ctrl.mu.Lock()
-		switch msg.(type) {
-		case *openflow.FlowMod:
-			sw.ctrl.stats.FlowModsSent++
-		case *openflow.PacketOut:
-			sw.ctrl.stats.PacketOutsSent++
-		}
-		sw.ctrl.mu.Unlock()
 		switch msg.(type) {
 		case *openflow.FlowMod:
 			sw.ctrl.ctrs.flowModsSent.Inc()
@@ -492,14 +486,8 @@ func (sw *SwitchConn) SendBatch(msgs []openflow.Message) error {
 			packetOuts++
 		}
 	}
-	if flowMods+packetOuts > 0 {
-		sw.ctrl.mu.Lock()
-		sw.ctrl.stats.FlowModsSent += flowMods
-		sw.ctrl.stats.PacketOutsSent += packetOuts
-		sw.ctrl.mu.Unlock()
-		sw.ctrl.ctrs.flowModsSent.Add(flowMods)
-		sw.ctrl.ctrs.packetOutsSent.Add(packetOuts)
-	}
+	sw.ctrl.ctrs.flowModsSent.Add(flowMods)
+	sw.ctrl.ctrs.packetOutsSent.Add(packetOuts)
 	return nil
 }
 

@@ -42,7 +42,7 @@ func baselineProcess(inj *Injector, sh *shard, ev *event, wire []byte) {
 		view.Header = hdr
 		view.Msg = msg
 	}
-	inj.log.Count(ev.conn, func(s *Stats) { s.Seen++ })
+	ev.sess.ctrs.seen.Inc()
 	inj.log.Add(Event{
 		At: view.Timestamp, Kind: EventMessage, Conn: ev.conn,
 		Direction: ev.dir.String(), MsgType: view.TypeName(),

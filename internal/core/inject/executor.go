@@ -34,9 +34,6 @@ type executor struct {
 	// sessions owned by sh skip the write queue and go straight onto the
 	// shard's pending lists.
 	sh *shard
-	// typeCounts accumulates lean-log per-type message counts within one
-	// shard batch, published in bulk by shard.flushBook.
-	typeCounts map[string]uint64
 	// stateName and state cache the compiled state of σ's last reading,
 	// so the per-message lookup is one string comparison while σ holds.
 	stateName string
@@ -49,11 +46,10 @@ type executor struct {
 
 func newExecutor(inj *Injector, seed int64, sh *shard) *executor {
 	return &executor{
-		inj:        inj,
-		storage:    inj.storage,
-		rng:        rand.New(rand.NewSource(seed)),
-		sh:         sh,
-		typeCounts: make(map[string]uint64, 32),
+		inj:     inj,
+		storage: inj.storage,
+		rng:     rand.New(rand.NewSource(seed)),
+		sh:      sh,
 	}
 }
 
@@ -112,17 +108,18 @@ func (d *disposition) verdict() string {
 // buffer that ends up with no owner (dropped or replaced originals) is
 // recycled before returning.
 func (ex *executor) process(ev *event) {
-	// The session caches the conn-keyed lookups (grant, counters, stats).
+	// The session caches the conn-keyed lookups (grant, counters).
 	ctrs := ev.sess.ctrs
 	view := ex.resetView(ev, ev.sess.caps)
 	ctrs.seen.Inc()
+	// The OF type byte keys both the per-type count and rule dispatch.
+	key := noFrame
+	if f, ok := view.Frame(); ok {
+		key = int(f.Type())
+	}
+	ex.sh.types[key].Add(1)
 	var disp disposition
-	// Stats and lean-log type counts accumulate per batch and are
-	// published in one log-lock round (flushBook).
-	ex.sh.book(ev.sess).Seen++
-	if ex.inj.cfg.LeanLog {
-		ex.typeCounts[view.TypeName()]++
-	} else {
+	if !ex.inj.cfg.LeanLog {
 		ex.inj.log.Add(Event{
 			At: view.Timestamp, Kind: EventMessage, Conn: ev.conn,
 			Direction: ev.dir.String(), MsgType: view.TypeName(),
@@ -147,10 +144,6 @@ func (ex *executor) process(ev *event) {
 	if ex.state != nil {
 		// Dispatch: only the rules of the message's (direction, type)
 		// bucket can match; the rest would evaluate to (false, nil).
-		key := noFrame
-		if f, ok := view.Frame(); ok {
-			key = int(f.Type())
-		}
 		watch := ctrs.watch
 		for _, cr := range ex.state.buckets[ev.dir-1][key] {
 			if !watch[cr.id] {
@@ -170,7 +163,6 @@ func (ex *executor) process(ev *event) {
 			if rule.Prob > 0 && rule.Prob < 1 && ex.rng.Float64() >= rule.Prob {
 				continue
 			}
-			ex.sh.book(ev.sess).RuleFires++
 			ctrs.ruleFires.Inc()
 			ex.inj.tele.Emit(telemetry.Event{
 				Layer: telemetry.LayerInjector, Kind: telemetry.KindRule,
@@ -243,7 +235,7 @@ func (ex *executor) process(ev *event) {
 		m := out[i]
 		isOriginal := len(m.raw) > 0 && &m.raw[0] == &ev.raw[0]
 		if m.delay > 0 {
-			ex.inj.log.Count(m.conn, func(s *Stats) { s.Delayed++ })
+			ctrs.delayed.Inc()
 			if ex.inj.cfg.AsyncDelays {
 				// Ablation mode: schedule the delivery and move on.
 				// Later messages can overtake this one. The goroutine
@@ -367,7 +359,6 @@ func (ex *executor) modify(act lang.Action, ev *event, view *lang.MessageView, e
 		kept := out[:0]
 		for _, m := range out {
 			if m.fromCurrent {
-				ex.sh.book(ev.sess).Dropped++
 				ctrs.dropped.Inc()
 				disp.dropped = true
 				continue
@@ -380,7 +371,6 @@ func (ex *executor) modify(act lang.Action, ev *event, view *lang.MessageView, e
 			if m.fromCurrent {
 				dup := m
 				dup.raw = append(openflow.GetBuffer(), m.raw...)
-				ex.sh.book(ev.sess).Duplicated++
 				ctrs.duplicated.Inc()
 				return append(out, dup)
 			}
@@ -390,7 +380,6 @@ func (ex *executor) modify(act lang.Action, ev *event, view *lang.MessageView, e
 		for i := range out {
 			if out[i].fromCurrent {
 				out[i].delay += a.D
-				ctrs.delayed.Inc()
 			}
 		}
 		return out
@@ -420,7 +409,6 @@ func (ex *executor) modify(act lang.Action, ev *event, view *lang.MessageView, e
 				openflow.PutBuffer(old)
 			}
 			out[i].raw = fuzzed
-			ex.sh.book(ev.sess).Fuzzed++
 			ctrs.fuzzed.Inc()
 			disp.modified = true
 		}
@@ -444,7 +432,6 @@ func (ex *executor) modify(act lang.Action, ev *event, view *lang.MessageView, e
 				openflow.PutBuffer(old)
 			}
 			out[i].raw = raw
-			ex.sh.book(ev.sess).Modified++
 			ctrs.modified.Inc()
 			disp.modified = true
 			disp.materialized = true
@@ -475,7 +462,6 @@ func (ex *executor) modify(act lang.Action, ev *event, view *lang.MessageView, e
 			ex.logErr(ev.conn, "inject %s: %v", a.Template, err)
 			return out
 		}
-		ex.sh.book(ev.sess).Injected++
 		ctrs.injected.Inc()
 		return append(out, outMsg{conn: ev.conn, dir: a.Direction, raw: raw})
 	case lang.StoreMessage:
@@ -516,7 +502,6 @@ func (ex *executor) modify(act lang.Action, ev *event, view *lang.MessageView, e
 			ex.logErr(ev.conn, "sendStored %s: element is not a captured message", a.Deque)
 			return out
 		}
-		ex.inj.log.Count(captured.View.Conn, func(s *Stats) { s.Injected++ })
 		ex.inj.countersFor(captured.View.Conn).injected.Inc()
 		return append(out, outMsg{conn: captured.View.Conn, dir: captured.View.Direction, raw: captured.Raw})
 	case lang.DequePush:

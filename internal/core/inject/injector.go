@@ -105,8 +105,8 @@ type Injector struct {
 	storage *lang.Storage
 	// pinned holds the connections shard 0 owns (see pinnedConns).
 	pinned map[model.Conn]bool
-	// counters maps each proxied connection to its pre-resolved telemetry
-	// counters; read-only after New.
+	// counters maps each proxied connection to its counters, the one
+	// record Log().Stats and telemetry read; read-only after New.
 	counters map[model.Conn]*connCounters
 	// prog is the attack compiled for the executors; read-only after New.
 	prog *program
@@ -179,19 +179,12 @@ type session struct {
 	closeOnce  sync.Once
 	closed     chan struct{}
 	// Hot-path caches resolved once at open (see Injector.bindSession):
-	// the attacker's capability grant, the telemetry counters (which carry
-	// the mask of rules watching the connection), and the log's stats
-	// record for this connection. Grants and the counters map
+	// the attacker's capability grant and the connection's counters (which
+	// carry the mask of rules watching it). Grants and the counters map
 	// are immutable after New, so caching preserves semantics while the
-	// per-message path skips three Conn-keyed map lookups.
-	caps  model.CapabilitySet
-	ctrs  *connCounters
-	stats *Stats
-	// pend accumulates this batch's counts for stats, published in bulk by
-	// shard.flushBook; booked marks the session as on the shard's list of
-	// sessions to publish. Owned by the shard loop.
-	pend   Stats
-	booked bool
+	// per-message path skips two Conn-keyed map lookups.
+	caps model.CapabilitySet
+	ctrs *connCounters
 
 	sh       *shard
 	toSwitch evloop.Sink
@@ -263,8 +256,10 @@ func New(cfg Config) (*Injector, error) {
 	inj.pinned = inj.prog.pinnedConns()
 	inj.loops = evloop.NewGroup(inj.tele.Counter("injector.shards.imbalance"))
 	inj.shards = make([]*shard, cfg.Shards)
+	inj.log.counters = inj.counters
 	for i := range inj.shards {
 		inj.shards[i] = newShard(inj, i)
+		inj.log.types = append(inj.log.types, &inj.shards[i].types)
 	}
 	return inj, nil
 }
@@ -415,8 +410,14 @@ const readBufSize = 4096
 // goroutine and the controller side on one spawned reader, so a session
 // costs two goroutines (a blocking Read must not stall other sessions);
 // the write side has none at all: the shard loop flushes outbound frames
-// in batches.
+// in batches. The first read error that is not a close (a malformed
+// header, a stream cut mid-frame) is kept for the session's close event;
+// telemetry's session event stays "closed".
 func (inj *Injector) serveSession(sess *session) {
+	var (
+		errOnce sync.Once
+		readErr error
+	)
 	read := func(conn net.Conn, dir lang.Direction) {
 		src := bufio.NewReaderSize(conn, readBufSize)
 		sh := sess.sh
@@ -428,6 +429,15 @@ func (inj *Injector) serveSession(sess *session) {
 			raw, err := openflow.ReadRawInto(src, openflow.GetBuffer())
 			if err != nil {
 				openflow.PutBuffer(raw)
+				// An error after the session closed is that close's echo
+				// (net.Pipe reads io.ErrClosedPipe, for one).
+				select {
+				case <-sess.closed:
+				default:
+					if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+						errOnce.Do(func() { readErr = err })
+					}
+				}
 				sess.close()
 				return
 			}
@@ -450,17 +460,22 @@ func (inj *Injector) serveSession(sess *session) {
 	}()
 	read(sess.switchSide, lang.SwitchToController)
 	<-ctrlDone
-	inj.finishSession(sess)
+	inj.finishSession(sess, readErr)
 }
 
-// finishSession deregisters a served session and records its close.
-func (inj *Injector) finishSession(sess *session) {
+// finishSession deregisters a served session and records its close, with
+// the read error that caused it, if any.
+func (inj *Injector) finishSession(sess *session, err error) {
 	inj.mu.Lock()
 	if inj.sessions[sess.conn] == sess {
 		delete(inj.sessions, sess.conn)
 	}
 	inj.mu.Unlock()
-	inj.log.Add(Event{At: inj.clk.Now(), Kind: EventConn, Conn: sess.conn, Detail: "session closed"})
+	detail := "session closed"
+	if err != nil {
+		detail += ": " + err.Error()
+	}
+	inj.log.Add(Event{At: inj.clk.Now(), Kind: EventConn, Conn: sess.conn, Detail: detail})
 	inj.tele.Emit(telemetry.Event{
 		Layer: telemetry.LayerInjector, Kind: telemetry.KindSession,
 		Conn: connLabel(sess.conn), Detail: "closed",
@@ -468,12 +483,10 @@ func (inj *Injector) finishSession(sess *session) {
 }
 
 // bindSession resolves the session's per-connection hot-path caches: the
-// capability grant, telemetry counters, and log stats record, all of which
-// are fixed for the connection's lifetime.
+// capability grant and counters, both fixed for the connection's lifetime.
 func (inj *Injector) bindSession(sess *session) {
 	sess.caps = inj.cfg.Attacker.CapsFor(sess.conn)
 	sess.ctrs = inj.countersFor(sess.conn)
-	sess.stats = inj.log.StatsRef(sess.conn)
 }
 
 // sessionFor returns the live session for conn, if any.

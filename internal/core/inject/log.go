@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"attain/internal/core/model"
+	"attain/internal/openflow"
 )
 
 // EventKind classifies log events.
@@ -71,31 +72,41 @@ func (e Event) String() string {
 		e.At.Format("15:04:05.000"), e.Kind, e.Conn, e.Direction, e.MsgType, e.Detail)
 }
 
-// Stats aggregates per-connection message counters.
+// Stats is a snapshot of one connection's message counters (see
+// connCounters, the record it reads).
 type Stats struct {
 	Seen       uint64
 	Delivered  uint64
 	Dropped    uint64
 	Duplicated uint64
-	Delayed    uint64
-	Modified   uint64
-	Fuzzed     uint64
-	Injected   uint64
-	RuleFires  uint64
+	// Delayed counts frames delivered late: one per outgoing frame that
+	// DELAYMESSAGE held.
+	Delayed   uint64
+	Modified  uint64
+	Fuzzed    uint64
+	Injected  uint64
+	RuleFires uint64
 }
 
+// typeCounts counts one loop's proxied messages by OpenFlow type byte; the
+// last slot (noFrame) counts messages without a frame view (OPAQUE).
+type typeCounts [noFrame + 1]atomic.Uint64
+
 // Log is the injector's event log: a bounded in-memory record plus an
-// optional streaming writer, with per-connection counters.
+// optional streaming writer. Its counts read the injector's counters,
+// which the loops update as they go.
 type Log struct {
 	mu     sync.Mutex
 	events []Event
 	max    int
 	w      io.Writer
-	stats  map[model.Conn]*Stats
-	byType map[string]uint64
 	// full is set once events holds max entries: Add keeps nothing more,
 	// so with no writer an event would be built for nobody (Retains).
 	full atomic.Bool
+	// counters and types are the injector's, set by New and read-only
+	// after: per-connection records and each loop's per-type counts.
+	counters map[model.Conn]*connCounters
+	types    []*typeCounts
 }
 
 // NewLog creates a log retaining up to max events in memory (0 means a
@@ -104,12 +115,7 @@ func NewLog(max int, w io.Writer) *Log {
 	if max <= 0 {
 		max = 100_000
 	}
-	return &Log{
-		max:    max,
-		w:      w,
-		stats:  make(map[model.Conn]*Stats),
-		byType: make(map[string]uint64),
-	}
+	return &Log{max: max, w: w}
 }
 
 // Add appends an event.
@@ -119,9 +125,6 @@ func (l *Log) Add(e Event) {
 		l.events = append(l.events, e)
 		l.full.Store(len(l.events) == l.max)
 	}
-	if e.Kind == EventMessage {
-		l.byType[e.MsgType]++
-	}
 	w := l.w
 	l.mu.Unlock()
 	if w != nil {
@@ -129,99 +132,54 @@ func (l *Log) Add(e Event) {
 	}
 }
 
-// Retains reports whether Add would keep or write an event that is not an
-// EventMessage (whose per-type count Add always takes). Callers skip
+// Retains reports whether Add would keep or write an event. Callers skip
 // formatting an event's detail when it would not.
 func (l *Log) Retains() bool { return l.w != nil || !l.full.Load() }
 
-// Count atomically updates a counter for conn.
-func (l *Log) Count(conn model.Conn, update func(*Stats)) {
-	l.mu.Lock()
-	st, ok := l.stats[conn]
-	if !ok {
-		st = &Stats{}
-		l.stats[conn] = st
-	}
-	update(st)
-	l.mu.Unlock()
-}
-
-// StatsRef returns the live stats record for conn, creating it on first
-// use. The pointer is stable for the log's lifetime; mutate it only under
-// the log's lock via CountRef or CountBatch. Sessions resolve their record
-// once at open so the per-message path skips the map lookup.
-func (l *Log) StatsRef(conn model.Conn) *Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st, ok := l.stats[conn]
-	if !ok {
-		st = &Stats{}
-		l.stats[conn] = st
-	}
-	return st
-}
-
-// CountRef is Count for a pre-resolved StatsRef record: same lock, no map
-// lookup.
-func (l *Log) CountRef(st *Stats, update func(*Stats)) {
-	l.mu.Lock()
-	update(st)
-	l.mu.Unlock()
-}
-
-// CountBatch runs fn under the stats lock. fn may mutate any number of
-// StatsRef records and add to the per-type message counts through the map
-// it receives (the lean-log path keeps MessageTypeCounts accurate this way
-// while skipping per-message events) — one lock round-trip publishes a
-// whole batch of bookkeeping that Count would pay per message.
-func (l *Log) CountBatch(fn func(types map[string]uint64)) {
-	l.mu.Lock()
-	fn(l.byType)
-	l.mu.Unlock()
-}
-
 // Stats returns a snapshot of the counters for conn.
 func (l *Log) Stats(conn model.Conn) Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if st, ok := l.stats[conn]; ok {
-		return *st
+	if c, ok := l.counters[conn]; ok {
+		return c.stats()
 	}
 	return Stats{}
 }
 
 // TotalStats sums counters across all connections.
 func (l *Log) TotalStats() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var total Stats
-	for _, st := range l.stats {
-		total.add(st)
+	var t Stats
+	for _, c := range l.counters {
+		s := c.stats()
+		t.Seen += s.Seen
+		t.Delivered += s.Delivered
+		t.Dropped += s.Dropped
+		t.Duplicated += s.Duplicated
+		t.Delayed += s.Delayed
+		t.Modified += s.Modified
+		t.Fuzzed += s.Fuzzed
+		t.Injected += s.Injected
+		t.RuleFires += s.RuleFires
 	}
-	return total
-}
-
-// add accumulates d into s.
-func (s *Stats) add(d *Stats) {
-	s.Seen += d.Seen
-	s.Delivered += d.Delivered
-	s.Dropped += d.Dropped
-	s.Duplicated += d.Duplicated
-	s.Delayed += d.Delayed
-	s.Modified += d.Modified
-	s.Fuzzed += d.Fuzzed
-	s.Injected += d.Injected
-	s.RuleFires += d.RuleFires
+	return t
 }
 
 // MessageTypeCounts returns how many messages of each OpenFlow type were
-// seen (the control-plane traffic metric of §VII-B).
+// seen (the control-plane traffic metric of §VII-B). Only types seen
+// appear; messages without a frame view count as OPAQUE.
 func (l *Log) MessageTypeCounts() map[string]uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[string]uint64, len(l.byType))
-	for k, v := range l.byType {
-		out[k] = v
+	out := make(map[string]uint64)
+	for i := 0; i <= noFrame; i++ {
+		var n uint64
+		for _, tc := range l.types {
+			n += tc[i].Load()
+		}
+		if n == 0 {
+			continue
+		}
+		name := "OPAQUE"
+		if i < noFrame {
+			name = openflow.Type(i).String()
+		}
+		out[name] = n
 	}
 	return out
 }

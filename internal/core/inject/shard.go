@@ -35,16 +35,14 @@ type shard struct {
 	exec *executor
 	loop *evloop.Loop[*event]
 
-	// Loop-owned state: sessions with unpublished counts and collected
-	// barrier channels. bookFn is the pre-built CountBatch closure so
-	// flushBook allocates nothing per batch.
-	counted []*session
-	dones   []chan struct{}
-	bookFn  func(types map[string]uint64)
+	// dones collects the batch's barrier channels; loop-owned.
+	dones []chan struct{}
+	// types counts the loop's messages by OF type (Log.MessageTypeCounts).
+	types typeCounts
 }
 
 func newShard(inj *Injector, id int) *shard {
-	sh := &shard{inj: inj, id: id, counted: make([]*session, 0, 64)}
+	sh := &shard{inj: inj, id: id}
 	sh.loop = evloop.NewLoop(evloop.LoopConfig[*event]{
 		Capacity:  inj.cfg.EventBuffer,
 		Clock:     inj.clk,
@@ -57,39 +55,7 @@ func newShard(inj *Injector, id int) *shard {
 		Recycle:   openflow.PutBuffer,
 	})
 	sh.exec = newExecutor(inj, shardSeed(inj.cfg.StochasticSeed, id), sh)
-	sh.bookFn = func(types map[string]uint64) {
-		for _, sess := range sh.counted {
-			sess.stats.add(&sess.pend)
-			sess.pend, sess.booked = Stats{}, false
-		}
-		for t, n := range sh.exec.typeCounts {
-			types[t] += n
-		}
-	}
 	return sh
-}
-
-// book returns the record sess's counts accumulate in until the batch's
-// flushBook publishes them to the log. Loop-owned.
-func (sh *shard) book(sess *session) *Stats {
-	if !sess.booked {
-		sess.booked = true
-		sh.counted = append(sh.counted, sess)
-	}
-	return &sess.pend
-}
-
-// flushBook publishes the batch's accumulated stats and per-type message
-// counts in one log lock round-trip instead of one per message. Counts
-// become externally visible at batch boundaries, just ahead of the flush
-// that writes the frames they count.
-func (sh *shard) flushBook() {
-	if len(sh.counted) == 0 && len(sh.exec.typeCounts) == 0 {
-		return
-	}
-	sh.inj.log.CountBatch(sh.bookFn)
-	clear(sh.exec.typeCounts)
-	sh.counted = sh.counted[:0]
 }
 
 // shardSeed derives shard i's RNG seed. Shard 0 keeps the configured seed
@@ -167,10 +133,11 @@ func (sh *shard) enqueueBarrier(done chan struct{}) bool {
 }
 
 // run is the shard loop: handle batches until the injector stops, then
-// recycle what is left.
+// recycle what is still queued or pending, so pooled buffers are not
+// leaked across an injector restart.
 func (sh *shard) run() {
 	sh.loop.Run(sh.inj.stop)
-	sh.drainShutdown()
+	sh.loop.Close()
 }
 
 // handle runs one chunk: executor processing for messages, pending-list
@@ -195,14 +162,11 @@ func (sh *shard) handle(chunk []*event, now time.Time) (msgs int) {
 	return msgs
 }
 
-// publish makes everything processed so far externally visible: Seen/type
-// counts in the log, then pending frames on the wire, and only then the
-// barrier done channels closed, so a Barrier observer sees every prior
-// frame delivered. Counts go first so a peer that has read a frame never
-// finds the log behind it. It ends every chunk and precedes every blocking
-// sleep (executor.block).
+// publish puts pending frames on the wire, and only then closes the
+// barrier done channels, so a Barrier observer sees every prior frame
+// delivered. It ends every chunk and precedes every blocking sleep
+// (executor.block).
 func (sh *shard) publish() {
-	sh.flushBook()
 	sh.loop.Flush()
 	for i, done := range sh.dones {
 		close(done)
@@ -214,10 +178,9 @@ func (sh *shard) publish() {
 // queueLocal appends an outbound frame to its session's pending list for
 // the chunk-end flush. Loop-goroutine only. Ownership of raw transfers
 // here: frames for a closed session are recycled and counted as drops.
-// The frame is counted Delivered now, in the batch's book: flushBook
-// publishes the book before the flush writes the frame, so a peer that
-// has read a frame finds it counted, and failed takes back what never
-// landed.
+// The frame is counted Delivered now, before the flush writes it, so a
+// peer that has read a frame finds it counted; failed takes back what
+// never landed.
 func (sh *shard) queueLocal(sess *session, dir lang.Direction, raw []byte) {
 	select {
 	case <-sess.closed:
@@ -226,7 +189,7 @@ func (sh *shard) queueLocal(sess *session, dir lang.Direction, raw []byte) {
 		return
 	default:
 	}
-	sh.book(sess).Delivered++
+	sess.ctrs.delivered.Inc()
 	if dir == lang.SwitchToController {
 		sh.loop.Send(&sess.toCtrl, raw)
 	} else {
@@ -240,7 +203,7 @@ func (sh *shard) failed(sink *evloop.Sink, frames, written int, _ error) {
 	sess := sink.Owner.(*session)
 	sess.close()
 	lost := frames - written
-	sh.inj.log.CountRef(sess.stats, func(s *Stats) { s.Delivered -= uint64(lost) })
+	sess.ctrs.delivered.Add(-uint64(lost)) // wraps: takes lost back
 	sh.countDrops(sess, lost)
 }
 
@@ -252,7 +215,6 @@ func (sh *shard) countDrops(sess *session, n int) {
 		return
 	}
 	sess.ctrs.dropped.Add(uint64(n))
-	sh.inj.log.CountRef(sess.stats, func(s *Stats) { s.Dropped += uint64(n) })
 }
 
 // drop disposes of an event still queued at shutdown: its buffer is
@@ -270,12 +232,4 @@ func (sh *shard) drop(ev *event) {
 		close(ev.done)
 	}
 	ev.recycle()
-}
-
-// drainShutdown runs when the loop exits: publish the counts booked so
-// far, then let the loop recycle everything still queued or pending so
-// pooled buffers are not leaked across an injector restart.
-func (sh *shard) drainShutdown() {
-	sh.flushBook()
-	sh.loop.Close()
 }

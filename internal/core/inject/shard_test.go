@@ -319,7 +319,7 @@ func TestShutdownRecyclesQueuedFrames(t *testing.T) {
 	sh.queueLocal(sess, lang.SwitchToController, frame())
 	sh.queueLocal(sess, lang.ControllerToSwitch, frame())
 
-	sh.drainShutdown()
+	sh.loop.Close()
 
 	if n := sh.loop.Len(); n != 0 || !sh.loop.Stopped() {
 		t.Errorf("intake after shutdown: len=%d stopped=%v", n, sh.loop.Stopped())

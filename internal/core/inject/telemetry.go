@@ -7,20 +7,26 @@ import (
 	"attain/internal/telemetry"
 )
 
-// connCounters holds the per-connection telemetry counters, resolved once
-// at construction so the executor hot path is a single atomic add per
-// update (or a nil-check no-op when telemetry is disabled — all fields are
-// nil then, which *telemetry.Counter treats as the inert counter).
+// connCounters is a connection's one record of what the injector did to
+// its messages. The quantities Stats reports count whether or not
+// telemetry is on, and are registered as injector.<ctrl>:<switch>.<name>
+// when it is (delivered has no registered name); passed, passthrough and
+// materialized are telemetry only, nil when it is off, which
+// *telemetry.Counter treats as the inert counter. Every update is one
+// atomic add on a pointer resolved at construction.
 type connCounters struct {
 	seen       *telemetry.Counter
-	passed     *telemetry.Counter
+	delivered  *telemetry.Counter
 	dropped    *telemetry.Counter
-	modified   *telemetry.Counter
-	injected   *telemetry.Counter
 	duplicated *telemetry.Counter
-	delayed    *telemetry.Counter
-	fuzzed     *telemetry.Counter
-	ruleFires  *telemetry.Counter
+	// delayed counts frames delivered late: one per outgoing frame that
+	// DELAYMESSAGE held, however many delays it accumulated.
+	delayed   *telemetry.Counter
+	modified  *telemetry.Counter
+	fuzzed    *telemetry.Counter
+	injected  *telemetry.Counter
+	ruleFires *telemetry.Counter
+	passed    *telemetry.Counter
 	// passthrough counts messages forwarded byte for byte without ever
 	// decoding the payload; materialized counts messages whose bytes were
 	// decoded (property access through Materialize) or rewritten (an
@@ -35,6 +41,9 @@ type connCounters struct {
 	// (see program.bindWatches). Sessions exist only for proxied
 	// connections, whose counters all carry one.
 	watch []bool
+	// live backs the Stats counters, so a connection's record is one
+	// allocation.
+	live [9]telemetry.Counter
 }
 
 // nopConnCounters serves lookups for connections the injector does not
@@ -48,23 +57,39 @@ var nopConnCounters = &connCounters{}
 func buildConnCounters(tele *telemetry.Telemetry, conns []model.Conn) map[model.Conn]*connCounters {
 	m := make(map[model.Conn]*connCounters, len(conns))
 	for _, conn := range conns {
-		prefix := fmt.Sprintf("injector.%s:%s", conn.Controller, conn.Switch)
-		m[conn] = &connCounters{
-			seen:         tele.Counter(prefix + ".seen"),
-			passed:       tele.Counter(prefix + ".passed"),
-			dropped:      tele.Counter(prefix + ".dropped"),
-			modified:     tele.Counter(prefix + ".modified"),
-			injected:     tele.Counter(prefix + ".injected"),
-			duplicated:   tele.Counter(prefix + ".duplicated"),
-			delayed:      tele.Counter(prefix + ".delayed"),
-			fuzzed:       tele.Counter(prefix + ".fuzzed"),
-			ruleFires:    tele.Counter(prefix + ".rule_fires"),
-			passthrough:  tele.Counter(prefix + ".passthrough"),
-			materialized: tele.Counter(prefix + ".materialized"),
-			label:        connLabel(conn),
-		}
+		prefix := fmt.Sprintf("injector.%s:%s.", conn.Controller, conn.Switch)
+		c := &connCounters{label: connLabel(conn)}
+		live := func(i int, name string) *telemetry.Counter { return tele.Live(&c.live[i], prefix+name) }
+		c.seen = live(0, "seen")
+		c.delivered = &c.live[1]
+		c.dropped = live(2, "dropped")
+		c.duplicated = live(3, "duplicated")
+		c.delayed = live(4, "delayed")
+		c.modified = live(5, "modified")
+		c.fuzzed = live(6, "fuzzed")
+		c.injected = live(7, "injected")
+		c.ruleFires = live(8, "rule_fires")
+		c.passed = tele.Counter(prefix + "passed")
+		c.passthrough = tele.Counter(prefix + "passthrough")
+		c.materialized = tele.Counter(prefix + "materialized")
+		m[conn] = c
 	}
 	return m
+}
+
+// stats reads the connection's record.
+func (c *connCounters) stats() Stats {
+	return Stats{
+		Seen:       c.seen.Value(),
+		Delivered:  c.delivered.Value(),
+		Dropped:    c.dropped.Value(),
+		Duplicated: c.duplicated.Value(),
+		Delayed:    c.delayed.Value(),
+		Modified:   c.modified.Value(),
+		Fuzzed:     c.fuzzed.Value(),
+		Injected:   c.injected.Value(),
+		RuleFires:  c.ruleFires.Value(),
+	}
 }
 
 // countersFor returns conn's counters, or the inert set for unknown conns.

@@ -40,7 +40,7 @@ func NewFrame(data []byte) (Frame, error) {
 	if length > len(data) {
 		return Frame{}, ErrTruncated
 	}
-	if _, ok := typeNames[Type(data[1])]; !ok {
+	if typeName[data[1]] == "" {
 		return Frame{}, fmt.Errorf("type %d: %w", data[1], ErrUnknownType)
 	}
 	return Frame{data: data[:length]}, nil

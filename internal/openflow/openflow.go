@@ -59,7 +59,10 @@ const (
 	TypeQueueGetConfigReply   Type = 21
 )
 
-var typeNames = map[Type]string{
+// typeName names each OF 1.0 message type by its type byte; "" marks a
+// byte that names no type. NewFrame's type check, Type.String and
+// ParseType read it.
+var typeName = [256]string{
 	TypeHello:                 "HELLO",
 	TypeError:                 "ERROR",
 	TypeEchoRequest:           "ECHO_REQUEST",
@@ -86,7 +89,7 @@ var typeNames = map[Type]string{
 
 // String returns the spec name of the message type, e.g. "FLOW_MOD".
 func (t Type) String() string {
-	if s, ok := typeNames[t]; ok {
+	if s := typeName[t]; s != "" {
 		return s
 	}
 	return fmt.Sprintf("UNKNOWN_TYPE(%d)", uint8(t))
@@ -94,9 +97,9 @@ func (t Type) String() string {
 
 // ParseType returns the Type named by the spec string s (e.g. "FLOW_MOD").
 func ParseType(s string) (Type, error) {
-	for t, name := range typeNames {
-		if name == s {
-			return t, nil
+	for t, name := range typeName {
+		if name != "" && name == s {
+			return Type(t), nil
 		}
 	}
 	return 0, fmt.Errorf("openflow: unknown message type %q", s)

@@ -359,9 +359,6 @@ func (h *Host) RetryLater(sw *Switch) {
 				return
 			case <-h.clk.After(sw.cfg.ReconnectInterval):
 			}
-			sw.mu.Lock()
-			sw.stats.Reconnects++
-			sw.mu.Unlock()
 			sw.ctrs.reconnects.Inc()
 			if err := h.Admit(sw); err == nil {
 				return

@@ -183,17 +183,18 @@ func (p *swPort) phy() openflow.PhyPort {
 // it (a one-switch host of its own) or Admit it to a shared Host.
 func New(cfg Config, clk clock.Clock) *Switch {
 	cfg.setDefaults()
-	return &Switch{
+	s := &Switch{
 		cfg:      cfg,
 		clk:      clk,
 		table:    NewTable(cfg.TableSize),
 		emerg:    NewTable(cfg.TableSize),
 		bufs:     newBufferStore(cfg.NBuffers),
 		tele:     cfg.Telemetry,
-		ctrs:     buildSwCounters(cfg.Telemetry, cfg.Name),
 		ports:    make(map[uint16]*swPort),
 		macTable: make(map[netaddr.MAC]uint16),
 	}
+	s.ctrs.bind(cfg.Telemetry, cfg.Name)
+	return s
 }
 
 // Name returns the switch name.
@@ -208,8 +209,12 @@ func (s *Switch) Table() *Table { return s.table }
 // Stats returns a snapshot of the activity counters.
 func (s *Switch) Stats() Stats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	s.mu.Unlock()
+	st.TableMisses = s.ctrs.tableMisses.Value()
+	st.PacketInsSent = s.ctrs.packetInsBuffered.Value()
+	st.Reconnects = s.ctrs.reconnects.Value()
+	return st
 }
 
 // Connected reports whether the control channel is currently up.
@@ -321,9 +326,6 @@ func (s *Switch) input(inPort uint16, frame []byte) {
 			s.applyActions(e.Actions, inPort, frame)
 			return
 		}
-		s.mu.Lock()
-		s.stats.TableMisses++
-		s.mu.Unlock()
 		s.ctrs.tableMisses.Inc()
 		s.sendPacketIn(inPort, frame, openflow.PacketInReasonNoMatch, 0)
 		return
@@ -346,7 +348,6 @@ func (s *Switch) input(inPort uint16, frame []byte) {
 			return
 		}
 		s.mu.Lock()
-		s.stats.TableMisses++
 		s.stats.DroppedDisconnected++
 		s.mu.Unlock()
 		s.ctrs.tableMisses.Inc()
@@ -472,9 +473,6 @@ func (s *Switch) sendPacketIn(inPort uint16, frame []byte, reason openflow.Packe
 		pi.Data = append([]byte(nil), frame...)
 	}
 	if conn.sendAsync(s.nextXid(), pi) {
-		s.mu.Lock()
-		s.stats.PacketInsSent++
-		s.mu.Unlock()
 		s.ctrs.packetInsBuffered.Inc()
 		s.tele.Emit(telemetry.Event{
 			Layer: telemetry.LayerSwitch, Kind: telemetry.KindPacketIn,

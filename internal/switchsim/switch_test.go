@@ -12,6 +12,7 @@ import (
 	"attain/internal/dataplane"
 	"attain/internal/netem"
 	"attain/internal/openflow"
+	"attain/internal/telemetry"
 )
 
 // rig is a one-switch, two-host test network with a learning-switch
@@ -27,11 +28,17 @@ type rig struct {
 
 func newRig(t *testing.T, profile controller.Profile, mode FailMode) *rig {
 	t.Helper()
+	return newRigTele(t, profile, mode, nil)
+}
+
+// newRigTele is newRig with telemetry on the switch and the controller.
+func newRigTele(t *testing.T, profile controller.Profile, mode FailMode, tele *telemetry.Telemetry) *rig {
+	t.Helper()
 	clk := clock.New()
 	tr := netem.NewMemTransport()
 	app := controller.NewLearningSwitch(profile)
 	ctrl := controller.New(controller.Config{
-		Name: "c1", ListenAddr: "c1", Transport: tr, App: app,
+		Name: "c1", ListenAddr: "c1", Transport: tr, App: app, Telemetry: tele,
 	}, clk)
 	if err := ctrl.Start(); err != nil {
 		t.Fatal(err)
@@ -43,6 +50,7 @@ func newRig(t *testing.T, profile controller.Profile, mode FailMode) *rig {
 		EchoTimeout:       150 * time.Millisecond,
 		ReconnectInterval: 50 * time.Millisecond,
 		ExpiryInterval:    50 * time.Millisecond,
+		Telemetry:         tele,
 	}, clk)
 
 	h1 := dataplane.NewHost("h1", macA, ipA, clk)
@@ -62,14 +70,22 @@ func newRig(t *testing.T, profile controller.Profile, mode FailMode) *rig {
 
 func (r *rig) waitConnected(t *testing.T, want bool) {
 	t.Helper()
+	waitFor(t, func() bool { return r.sw.Connected() == want },
+		"switch connected state never became %v", want)
+}
+
+// waitFor polls cond for up to 5 s and fails the test with the message
+// if it never holds.
+func waitFor(t *testing.T, cond func() bool, format string, args ...any) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if r.sw.Connected() == want {
+		if cond() {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("switch connected state never became %v", want)
+	t.Fatalf(format, args...)
 }
 
 func TestSwitchConnectsAndHandshakes(t *testing.T) {
@@ -239,6 +255,43 @@ func TestSwitchReconnects(t *testing.T) {
 	r.waitConnected(t, true)
 	if r.sw.Stats().Reconnects == 0 {
 		t.Error("reconnect counter did not advance")
+	}
+}
+
+// TestStatsMatchTelemetry pins one record per quantity: what the switch's
+// and the controller's Stats report equals the telemetry counter of the
+// same event, through pings, a dropped session and its reconnect.
+func TestStatsMatchTelemetry(t *testing.T) {
+	tele := telemetry.New(telemetry.Options{})
+	r := newRigTele(t, controller.ProfileFloodlight, FailSecure, tele)
+	pingOK(t, r)
+	for _, sc := range r.ctrl.Switches() {
+		sc.Close()
+	}
+	waitFor(t, func() bool { return r.sw.Stats().Reconnects > 0 && r.sw.Connected() },
+		"switch never reconnected")
+	pingOK(t, r)
+	r.sw.Stop()
+	r.ctrl.Stop()
+
+	sw, ctrl, snap := r.sw.Stats(), r.ctrl.Stats(), tele.Snapshot()
+	if sw.TableMisses == 0 || sw.PacketInsSent == 0 || sw.Reconnects == 0 {
+		t.Errorf("switch stats %+v: want misses, packet-ins and a reconnect", sw)
+	}
+	if ctrl.PacketIns == 0 || ctrl.FlowModsSent == 0 || ctrl.PacketOutsSent == 0 {
+		t.Errorf("controller stats %+v: want packet-ins, flow-mods and packet-outs", ctrl)
+	}
+	for name, got := range map[string]uint64{
+		"switch.s1.table_misses":         sw.TableMisses,
+		"switch.s1.packet_ins_buffered":  sw.PacketInsSent,
+		"switch.s1.reconnects":           sw.Reconnects,
+		"controller.c1.packet_ins":       ctrl.PacketIns,
+		"controller.c1.flow_mods_sent":   ctrl.FlowModsSent,
+		"controller.c1.packet_outs_sent": ctrl.PacketOutsSent,
+	} {
+		if tel := snap[name]; tel != got {
+			t.Errorf("%s: Stats %d, telemetry %d", name, got, tel)
+		}
 	}
 }
 

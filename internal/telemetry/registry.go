@@ -69,13 +69,22 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
+	return r.adopt(name, nil)
+}
+
+// adopt returns the counter registered under name, registering c (a new
+// counter when c is nil) if the name is free.
+func (r *Registry) adopt(name string, c *Counter) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{name: name}
-		r.counters[name] = c
+	if old, ok := r.counters[name]; ok {
+		return old
 	}
+	if c == nil {
+		c = new(Counter)
+	}
+	c.name = name
+	r.counters[name] = c
 	return c
 }
 

@@ -157,6 +157,18 @@ func (t *Telemetry) Counter(name string) *Counter {
 	return t.reg.Counter(name)
 }
 
+// Live returns a counter that counts whether or not t is enabled, for a
+// component whose own statistics read it: c itself, registered under name
+// when t is enabled and unregistered when t is nil. If name is registered
+// already, that counter is returned instead and counts for both owners.
+// Passing c lets a caller keep its counters in one allocation.
+func (t *Telemetry) Live(c *Counter, name string) *Counter {
+	if t == nil {
+		return c
+	}
+	return t.reg.adopt(name, c)
+}
+
 // Emit stamps ev with the next sequence number and the current virtual
 // time and records it in the trace ring. No-op on a nil receiver; callers
 // on hot paths should still guard with Enabled() when building the event

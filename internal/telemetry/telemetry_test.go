@@ -77,6 +77,35 @@ func TestCounterRegistry(t *testing.T) {
 	}
 }
 
+// TestLiveCounter: a live counter counts with telemetry off and on, is
+// registered only when it is on, and a name registered already keeps its
+// counter.
+func TestLiveCounter(t *testing.T) {
+	var off *Telemetry
+	var c Counter
+	if got := off.Live(&c, "switch.s1.reconnects"); got != &c {
+		t.Fatal("disabled Live did not return the caller's counter")
+	}
+	c.Inc()
+	if c.Value() != 1 {
+		t.Fatalf("disabled live counter = %d, want 1", c.Value())
+	}
+
+	tele := New(Options{})
+	var d, e Counter
+	live := tele.Live(&d, "switch.s1.reconnects")
+	live.Add(2)
+	if live != &d || tele.Snapshot()["switch.s1.reconnects"] != 2 {
+		t.Fatalf("enabled Live: same=%v snapshot=%v", live == &d, tele.Snapshot())
+	}
+	if got := tele.Live(&e, "switch.s1.reconnects"); got != &d {
+		t.Fatal("Live replaced a registered counter")
+	}
+	if got := tele.Counter("switch.s1.reconnects"); got != &d {
+		t.Fatal("Counter does not find the live counter")
+	}
+}
+
 func TestTraceOrderAndTimestamps(t *testing.T) {
 	mock := clock.NewMock(time.Unix(100, 0))
 	tele := New(Options{Clock: mock, TraceCapacity: 16})
