@@ -165,6 +165,7 @@ fuzz-smoke:
 	$(GO) test ./internal/switchsim/ -run=^$$ -fuzz=FuzzTableLookupDifferential -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/openflow/ -run=^$$ -fuzz=FuzzUnmarshal$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/openflow/ -run=^$$ -fuzz=FuzzFrameViewDifferential -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/openflow/ -run=^$$ -fuzz=FuzzFrameReaderDifferential -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/compile/ -run=^$$ -fuzz=FuzzParseSystem$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/compile/ -run=^$$ -fuzz=FuzzParseAttack$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/compile/ -run=^$$ -fuzz=FuzzParseExpr$$ -fuzztime=$(FUZZTIME)

@@ -270,7 +270,10 @@ func (c *Controller) serve(conn net.Conn) {
 		c.mu.Unlock()
 	}()
 
-	if err := c.handshake(sw); err != nil {
+	// One frame reader serves the whole session, handshake included, so
+	// frames that arrive with the handshake's last one are not lost.
+	fr := openflow.NewFrameReader(sw.conn)
+	if err := c.handshake(sw, fr); err != nil {
 		return
 	}
 	c.mu.Lock()
@@ -303,18 +306,13 @@ func (c *Controller) serve(conn net.Conn) {
 		hook.SwitchUp(sw)
 	}
 
-	// One pooled read buffer serves the whole session (decoded messages do
-	// not alias it), keeping the per-switch read loop allocation-free at
-	// the framing layer.
-	mr := openflow.NewMessageReader(sw.conn)
-	defer mr.Close()
 	for {
 		select {
 		case <-c.stop:
 			return
 		default:
 		}
-		hdr, msg, err := mr.Read()
+		hdr, msg, err := fr.ReadMessage()
 		if err != nil {
 			return
 		}
@@ -323,7 +321,7 @@ func (c *Controller) serve(conn net.Conn) {
 }
 
 // handshake performs HELLO exchange followed by FEATURES_REQUEST/REPLY.
-func (c *Controller) handshake(sw *SwitchConn) error {
+func (c *Controller) handshake(sw *SwitchConn, fr *openflow.FrameReader) error {
 	if err := sw.Send(&openflow.Hello{}); err != nil {
 		return err
 	}
@@ -333,7 +331,7 @@ func (c *Controller) handshake(sw *SwitchConn) error {
 		if c.clk.Now().After(deadline) {
 			return errors.New("controller: handshake timeout")
 		}
-		_, msg, err := openflow.ReadMessage(sw.conn)
+		_, msg, err := fr.ReadMessage()
 		if err != nil {
 			return err
 		}

@@ -389,3 +389,45 @@ func TestProfileStrings(t *testing.T) {
 		t.Errorf("app name = %q", name)
 	}
 }
+
+// TestHandshakeReadAheadReachesServeLoop: a switch that sends HELLO,
+// FEATURES_REPLY and an ECHO_REQUEST in one write gets its ECHO_REPLY, so
+// bytes read past the handshake's last frame are served, not lost.
+func TestHandshakeReadAheadReachesServeLoop(t *testing.T) {
+	tr := netem.NewBufferedMemTransport(0)
+	ctrl := New(Config{Name: "c1", ListenAddr: "c1", Transport: tr, App: NewLearningSwitch(ProfileFloodlight)}, clock.New())
+	if err := ctrl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ctrl.Stop)
+	conn, err := tr.Dial("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A lost frame would block the reads below: closing the conn ends them.
+	defer time.AfterFunc(5*time.Second, func() { conn.Close() }).Stop()
+	var burst []byte
+	for i, msg := range []openflow.Message{
+		&openflow.Hello{}, &openflow.FeaturesReply{DatapathID: 7}, &openflow.EchoRequest{Data: []byte("ahead")},
+	} {
+		if burst, err = openflow.AppendMessage(burst, uint32(i+1), msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []openflow.Type{openflow.TypeHello, openflow.TypeFeaturesRequest, openflow.TypeEchoReply} {
+		hdr, msg, err := openflow.ReadMessage(conn)
+		if err != nil {
+			t.Fatalf("waiting for %s: %v", want, err)
+		}
+		if hdr.Type != want {
+			t.Fatalf("got %s, want %s", hdr.Type, want)
+		}
+		if want == openflow.TypeEchoReply && (hdr.Xid != 3 || string(msg.(*openflow.EchoReply).Data) != "ahead") {
+			t.Fatalf("echo reply xid %d data %q", hdr.Xid, msg.(*openflow.EchoReply).Data)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package inject
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -400,11 +399,6 @@ func (inj *Injector) openSession(conn model.Conn, swConn net.Conn) (*session, er
 	return sess, nil
 }
 
-// readBufSize sizes the per-reader bufio layer: one locked ring/socket
-// read pulls in a run of small frames instead of two per frame (header,
-// body). Frames larger than the buffer degrade gracefully to direct reads.
-const readBufSize = 4096
-
 // serveSession reads both directions into the owning shard's intake queue
 // until either side closes. The switch side is read on the calling accept
 // goroutine and the controller side on one spawned reader, so a session
@@ -419,16 +413,14 @@ func (inj *Injector) serveSession(sess *session) {
 		readErr error
 	)
 	read := func(conn net.Conn, dir lang.Direction) {
-		src := bufio.NewReaderSize(conn, readBufSize)
+		src := openflow.NewFrameReader(conn)
 		sh := sess.sh
 		for {
-			// Each frame is read into a pooled buffer whose ownership moves
+			// Each frame arrives in a pooled buffer whose ownership moves
 			// with the event: shard loop, then delivery, then the flush that
-			// recycles it. ReadRawInto returns the buffer even on error so
-			// it can be recycled here.
-			raw, err := openflow.ReadRawInto(src, openflow.GetBuffer())
+			// recycles it.
+			raw, err := src.Read()
 			if err != nil {
-				openflow.PutBuffer(raw)
 				// An error after the session closed is that close's echo
 				// (net.Pipe reads io.ErrClosedPipe, for one).
 				select {

@@ -163,6 +163,9 @@ type remoteWorker struct {
 	slots  int
 	conn   *frameConn
 	leases map[int]bool
+	// welcomed is set once WELCOME is written; sweeps grant nothing
+	// before, so no LEASE can reach the worker first. Guarded by c.mu.
+	welcomed bool
 }
 
 // refillTarget is how much work a worker may hold queued behind each slot,
@@ -571,6 +574,9 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		c.dropWorker(w, "handshake write failed")
 		return
 	}
+	c.mu.Lock()
+	w.welcomed = true
+	c.mu.Unlock()
 	c.sweep(time.Now()) // grant immediately rather than waiting a tick
 
 	for {
@@ -864,7 +870,9 @@ func (c *Coordinator) sweep(now time.Time) {
 	leases := make([][]*Frame, len(workers))
 	totalRoom := 0
 	for i, w := range workers {
-		room[i] = max(0, c.windowLocked(w.slots)-len(w.leases))
+		if w.welcomed {
+			room[i] = max(0, c.windowLocked(w.slots)-len(w.leases))
+		}
 		totalRoom += room[i]
 	}
 	for c.firstPending < len(c.scen) && c.scen[c.firstPending].state != statePending {
@@ -912,7 +920,7 @@ func (c *Coordinator) sweep(now time.Time) {
 	stolen := 0
 	if c.cfg.StealBudget > 0 && c.nPending == 0 {
 		for i, w := range workers {
-			for len(w.leases) < w.slots {
+			for w.welcomed && len(w.leases) < w.slots {
 				idx := c.stealCandidateLocked(w.name, now)
 				if idx < 0 {
 					break

@@ -201,6 +201,9 @@ func TestGridReconnectReadoptsLeases(t *testing.T) {
 	})
 
 	first := dialRaw(t, addr, "wobbly", 2)
+	// Deferred, the close keeps the conn reachable: a collected conn's
+	// finalizer closes it, a loud death that requeues the leases.
+	defer first.fc.close()
 	leases := first.awaitLeases(2)
 
 	// The worker's connection drops silently (NAT timeout, say): the

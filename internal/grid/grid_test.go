@@ -391,6 +391,107 @@ func TestGridWorkerAfterCompletionGetsDone(t *testing.T) {
 	}
 }
 
+// holdSecondConn passes connections through, except that the first Write
+// on the second one accepted waits for release; held is closed once that
+// Write is waiting.
+type holdSecondConn struct {
+	net.Listener
+	accepted      int
+	held, release chan struct{}
+}
+
+func (l *holdSecondConn) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	if l.accepted++; l.accepted == 2 {
+		return &heldConn{Conn: c, l: l}, nil
+	}
+	return c, nil
+}
+
+type heldConn struct {
+	net.Conn
+	l    *holdSecondConn
+	once sync.Once
+}
+
+func (c *heldConn) Write(p []byte) (int, error) {
+	c.once.Do(func() {
+		close(c.l.held)
+		<-c.l.release
+	})
+	return c.Conn.Write(p)
+}
+
+// TestGridWelcomeBeforeAnyLease: a worker gets no grant before its WELCOME
+// is written, or a LEASE could reach it first. The joining worker's first
+// write (its WELCOME) is held while another worker's result causes a
+// sweep, and that sweep must grant it nothing.
+func TestGridWelcomeBeforeAnyLease(t *testing.T) {
+	tel := telemetry.New(telemetry.Options{})
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &holdSecondConn{Listener: tcp, held: make(chan struct{}), release: make(chan struct{})}
+	co := NewCoordinator(CoordinatorConfig{Scenarios: testMatrix(7)[:4], LeaseTTL: time.Minute, Telemetry: tel})
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() {
+		_, err := co.Serve(ctx, ln)
+		served <- err
+	}()
+	defer func() {
+		cancel()
+		<-served
+	}()
+	// Serve waits for every connection, the held one included.
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(ln.release) }) }
+	defer release()
+
+	// Workers are visited in name order, so the joining worker, "a-late",
+	// would get the sweep's first grant.
+	early := dialRaw(t, addrOf(tcp), "b-early", 1)
+	defer early.fc.close()
+	lease := early.awaitLeases(1)[0]
+	first := make(chan FrameType, 1)
+	go func() {
+		var got FrameType
+		defer func() { first <- got }()
+		conn, err := net.Dial("tcp", addrOf(tcp))
+		if err != nil {
+			return
+		}
+		fc := newFrameConn(conn, nil)
+		defer fc.close()
+		if fc.write(&Frame{Type: FrameHello, Hello: &Hello{Proto: ProtoVersion, Worker: "a-late", Slots: 1}}) != nil {
+			return
+		}
+		if f, err := fc.read(); err == nil {
+			got = f.Type
+		}
+	}()
+	select {
+	case <-ln.held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the joining worker's first write never came")
+	}
+	early.sendResult(lease)
+	waitCounter(t, tel, "grid.scenarios_leased", 2)
+	for _, ws := range co.Status().Workers {
+		if ws.Name == "a-late" && ws.Leases > 0 {
+			t.Errorf("worker a-late holds %d leases before its WELCOME was written", ws.Leases)
+		}
+	}
+	release()
+	if got := <-first; got != FrameWelcome {
+		t.Errorf("joining worker's first frame = %q, want %s", got, FrameWelcome)
+	}
+}
+
 // TestGridCancellationSkipsRemaining cancels the campaign mid-run and
 // verifies unexecuted scenarios are recorded skipped, matching the
 // in-process runner's drain semantics.

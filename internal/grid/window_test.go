@@ -451,6 +451,9 @@ func TestResumeReadoptsQueuedLeases(t *testing.T) {
 		Scenarios: scenarios, LeaseTTL: 10 * time.Second, Telemetry: tel,
 	})
 	first := dialRaw(t, addr, "wobbly", 1)
+	// Deferred, the close keeps the conn reachable: a collected conn's
+	// finalizer closes it, a loud death that requeues the leases.
+	defer first.fc.close()
 	leases := openWindow(t, first, len(scenarios)-1)
 
 	second := dialRawHello(t, addr, &Hello{Proto: ProtoVersion, Worker: "wobbly", Slots: 1, Resume: true})

@@ -105,36 +105,105 @@ func ReadRawInto(r io.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// MessageReader decodes successive framed messages from one stream,
-// recycling a single read buffer across calls — the steady state performs
-// no per-message buffer allocation. Decoded messages never alias the
-// internal buffer (Unmarshal copies variable-length fields), so they may
-// outlive the next Read.
-type MessageReader struct {
-	r   io.Reader
-	buf []byte
+// FrameReader reads successive framed messages from one stream. Each Read
+// returns one whole frame in a pooled buffer the caller owns, as
+// ReadRawInto's result is, so ownership can move with the frame. The
+// transport read goes into that buffer's spare capacity. Bytes past the
+// frame make the buffer the reader's tail: the frame is copied out, the
+// frames behind it follow, and the tail itself carries the last of them
+// (or the start of the next frame, for the next transport read). A run
+// of small frames therefore costs one transport read, while a reader
+// blocked at a frame boundary holds nothing but the buffer its next
+// frame will land in.
+//
+// Create one reader per connection direction, before its first byte is
+// read: bytes it has read ahead belong to no one else. Errors match
+// repeated ReadRawInto calls: io.EOF at a frame boundary,
+// io.ErrUnexpectedEOF inside a frame, ErrBadLength for a length field
+// below the header size, and the transport's own error otherwise. An
+// error is final; the frames read before it are returned first.
+type FrameReader struct {
+	r    io.Reader
+	tail []byte // pooled; tail[off:] are bytes read past the last frame
+	off  int
+	err  error
 }
 
-// NewMessageReader wraps r with a pooled read buffer. Call Close when done
-// with the stream to recycle it.
-func NewMessageReader(r io.Reader) *MessageReader {
-	return &MessageReader{r: r, buf: GetBuffer()}
+// NewFrameReader returns a reader of the frames on r.
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
+
+// Read returns the next frame (header included, len equal to its length
+// field) in a pooled buffer. Return it with PutBuffer once nothing
+// references it. On error the result is nil.
+func (fr *FrameReader) Read() ([]byte, error) {
+	buf := fr.tail
+	if buf == nil {
+		buf = GetBuffer()
+	} else {
+		rest := buf[fr.off:]
+		if n, ok := frameLen(rest); ok && n >= HeaderLen && n < len(rest) {
+			fr.off += n
+			return append(GetBuffer(), rest[:n]...), nil
+		}
+		// The tail's last bytes, a whole frame or the start of one, move
+		// to its front, where the loop below returns, completes or
+		// rejects them.
+		buf = buf[:copy(buf, rest)]
+		fr.tail, fr.off = nil, 0
+	}
+	for {
+		if n, ok := frameLen(buf); ok {
+			if n < HeaderLen {
+				fr.err = ErrBadLength
+				PutBuffer(buf)
+				return nil, fr.err
+			}
+			if n == len(buf) {
+				return buf, nil
+			}
+			if n < len(buf) {
+				fr.tail, fr.off = buf, n
+				return append(GetBuffer(), buf[:n]...), nil
+			}
+			if n > cap(buf) {
+				grown := make([]byte, len(buf), n)
+				copy(grown, buf)
+				PutBuffer(buf)
+				buf = grown
+			}
+		}
+		if fr.err != nil {
+			if fr.err == io.EOF && len(buf) > 0 {
+				fr.err = io.ErrUnexpectedEOF
+			}
+			PutBuffer(buf)
+			return nil, fr.err
+		}
+		var m int
+		m, fr.err = fr.r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+	}
 }
 
-// Read reads and decodes the next message.
-func (mr *MessageReader) Read() (Header, Message, error) {
-	raw, err := ReadRawInto(mr.r, mr.buf)
-	mr.buf = raw
+// ReadMessage reads the next frame and decodes it. The message does not
+// alias the frame (Unmarshal copies variable-length fields), whose buffer
+// goes back to the pool.
+func (fr *FrameReader) ReadMessage() (Header, Message, error) {
+	raw, err := fr.Read()
 	if err != nil {
 		return Header{}, nil, err
 	}
+	defer PutBuffer(raw)
 	return Unmarshal(raw)
 }
 
-// Close recycles the reader's buffer. The reader must not be used after.
-func (mr *MessageReader) Close() {
-	PutBuffer(mr.buf)
-	mr.buf = nil
+// frameLen reads the length field of the frame b starts with, once b
+// holds its header.
+func frameLen(b []byte) (int, bool) {
+	if len(b) < HeaderLen {
+		return 0, false
+	}
+	return int(binary.BigEndian.Uint16(b[2:4])), true
 }
 
 // AppendMessage appends the framed encoding of msg (with the given

@@ -306,16 +306,15 @@ func (h *Host) Admit(sw *Switch) error {
 }
 
 // readLoop is the one goroutine a hosted session keeps: it completes the
-// handshake, then decodes messages into shard events. Decoded messages do
-// not alias the reader's pooled buffer, so handing them to the loop is
-// safe. hevOpen is pushed once our HELLO is written (so no reply can
-// precede it on the wire), before hsDone resolves and before any hevMsg,
-// so the loop always registers the session before its first message.
+// handshake, then decodes messages into shard events, all through one
+// frame reader, so bytes read ahead with the HELLO reach the loop.
+// Decoded messages do not alias the reader's pooled buffers. hevOpen is
+// pushed once our HELLO is written (so no reply can precede it on the
+// wire), before hsDone resolves and before any hevMsg, so the loop always
+// registers the session before its first message.
 func (h *Host) readLoop(hc *hostedConn, hello <-chan error, hsDone chan<- error) {
-	mr := openflow.NewMessageReader(hc.conn)
-	defer mr.Close()
-
-	_, msg, err := mr.Read()
+	fr := openflow.NewFrameReader(hc.conn)
+	_, msg, err := fr.ReadMessage()
 	if werr := <-hello; err == nil {
 		err = werr
 	}
@@ -336,7 +335,7 @@ func (h *Host) readLoop(hc *hostedConn, hello <-chan error, hsDone chan<- error)
 	hsDone <- nil
 
 	for {
-		hdr, msg, err := mr.Read()
+		hdr, msg, err := fr.ReadMessage()
 		if err != nil {
 			hc.sh.loop.PushNoWait(hostEvent{kind: hevClosed, hc: hc})
 			hc.close()

@@ -180,6 +180,58 @@ func TestHostAdmitAfterStop(t *testing.T) {
 	}
 }
 
+// TestHostHandshakeReadAheadReachesLoop: a controller that sends HELLO,
+// FEATURES_REQUEST and an ECHO_REQUEST in one write gets the FEATURES_REPLY
+// and the ECHO_REPLY, so bytes read past the HELLO reach the shard loop.
+func TestHostHandshakeReadAheadReachesLoop(t *testing.T) {
+	clk := clock.New()
+	tr := netem.NewBufferedMemTransport(0)
+	ln, err := tr.Listen("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	host := NewHost(HostConfig{Clock: clk})
+	host.Start()
+	defer host.Stop()
+	sw := New(Config{Name: "s1", DPID: 9, ControllerAddr: "c1", Transport: tr}, clk)
+	admitted := make(chan error, 1)
+	go func() { admitted <- host.Admit(sw) }()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A lost frame would block the reads below: closing the conn ends them.
+	defer time.AfterFunc(5*time.Second, func() { conn.Close() }).Stop()
+	var burst []byte
+	for i, msg := range []openflow.Message{
+		&openflow.Hello{}, &openflow.FeaturesRequest{}, &openflow.EchoRequest{Data: []byte("ahead")},
+	} {
+		if burst, err = openflow.AppendMessage(burst, uint32(i+1), msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []openflow.Type{openflow.TypeHello, openflow.TypeFeaturesReply, openflow.TypeEchoReply} {
+		hdr, msg, err := openflow.ReadMessage(conn)
+		if err != nil {
+			t.Fatalf("waiting for %s: %v", want, err)
+		}
+		if hdr.Type != want {
+			t.Fatalf("got %s, want %s", hdr.Type, want)
+		}
+		if want == openflow.TypeEchoReply && (hdr.Xid != 3 || string(msg.(*openflow.EchoReply).Data) != "ahead") {
+			t.Fatalf("echo reply xid %d data %q", hdr.Xid, msg.(*openflow.EchoReply).Data)
+		}
+	}
+	if err := <-admitted; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestHostConcurrentAdmitAndTraffic(t *testing.T) {
 	// Race-stress the shard-hosted path: concurrent admissions across
 	// shards, controller messages, data-plane inputs, and stat polls all

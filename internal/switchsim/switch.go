@@ -488,18 +488,18 @@ func (s *Switch) nextXid() uint32 { return s.xid.Add(1) }
 func (s *Switch) setConnected(up bool, conn *hostedConn) {
 	s.mu.Lock()
 	wasUp := s.connected
+	if wasUp && !up && s.cfg.EmergencyFlows && s.cfg.FailMode == FailSecure {
+		// §4.3: entering emergency mode resets the normal flow table,
+		// before Connected can report the switch disconnected.
+		s.table.Clear()
+	}
 	s.connected = up
 	s.conn = conn
 	if up {
 		// Leaving standalone mode: forget learned MACs.
 		s.macTable = make(map[netaddr.MAC]uint16)
 	}
-	enterEmergency := wasUp && !up && s.cfg.EmergencyFlows && s.cfg.FailMode == FailSecure
 	s.mu.Unlock()
-	if enterEmergency {
-		// §4.3: entering emergency mode resets the normal flow table.
-		s.table.Clear()
-	}
 	if wasUp != up && s.tele.Enabled() {
 		detail := "connected"
 		if !up {

@@ -185,14 +185,18 @@ func NewDiscovery(app controller.App, tel *telemetry.Telemetry) *Discovery {
 func (d *Discovery) Name() string { return d.inner.Name() + "+discovery" }
 
 // absorb applies one drained batch of LLDP observations at the given
-// observation time, emitting one discovery event per newly learned link.
+// observation time, emitting one discovery event per newly learned link
+// when telemetry is on.
 func (d *Discovery) absorb(batch []DiscLink, now time.Time) {
 	var fresh []DiscLink
+	tracing := d.tel.Enabled()
 	d.mu.Lock()
 	for _, link := range batch {
 		if _, known := d.links[link]; !known {
 			d.links[link] = struct{}{}
-			fresh = append(fresh, link)
+			if tracing {
+				fresh = append(fresh, link)
+			}
 		}
 	}
 	d.mu.Unlock()
